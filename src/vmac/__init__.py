@@ -19,6 +19,7 @@ from .experiments import (
     bursty_library,
     content_library,
     derive_run_seed,
+    draw_scenarios,
     run_burstiness_table,
     run_content_comparison,
     run_probability_sweep,
@@ -36,7 +37,6 @@ from .stats import (
     MeanWithCI,
     SeriesSummary,
     coefficient_of_variation,
-    empirical_probability_avg_below_inst,
     mean_and_ci,
     peak_to_mean,
     summarize,

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateRanges, InsufficientHistory
-from .rate_engine import MeasurementWindow, _shared_fps
-from .trace_model import BITS_PER_BYTE, FlowInstance, FlowRateBounds
+from .rate_engine import MeasurementWindow, aggregate_rate_series
+from .trace_model import FlowInstance, FlowRateBounds
 
 # exp() underflows to 0 below this exponent; we clamp instead so delta
 # stays strictly positive
@@ -91,21 +91,10 @@ def empirical_exceedance(
             f"shortest trace has {shortest} slots, window needs {w}"
         )
     horizon = max(len(f.trace) for f in flows)
-    n = len(flows)
-    fps = _shared_fps(flows)
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    # aggregate byte series over every slot any sampled window can touch;
-    # integer cumsum keeps window sums exact
-    n_slots = w - 1 + horizon
-    slots = np.arange(n_slots)
-    agg = np.zeros(n_slots, dtype=np.int64)
-    for f in flows:
-        agg += np.take(f.trace.sizes, f.start_offset + slots, mode="wrap")
-    cum = np.concatenate([[0], np.cumsum(agg)])
-
-    ends = rng.integers(w - 1, w - 1 + horizon, size=samples)
-    inst = agg[ends] * BITS_PER_BYTE * fps
-    avg = (cum[ends + 1] - cum[ends + 1 - w]) * BITS_PER_BYTE / w * fps
-    hits = int(np.count_nonzero(inst >= avg + n * epsilon))
+    # rates at every valid end slot w-1 .. w-2+horizon; a pick indexes them
+    inst, avg = aggregate_rate_series(flows, w, w - 1 + horizon)
+    picks = rng.integers(0, horizon, size=samples)
+    hits = int(np.count_nonzero(inst[picks] >= avg[picks] + len(flows) * epsilon))
     return hits / samples

@@ -118,7 +118,8 @@ def _add_common_experiment_flags(p):
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--confidence", type=float, default=0.95)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True)
 
 
@@ -240,15 +241,14 @@ def _cmd_admit(args) -> int:
 
     # one seeded scenario, same composition rule as the experiment runs
     rng = np.random.Generator(np.random.PCG64(_master_seed(args)))
-    tr, offs = experiments._draw_flow_tables(rng, library, args.flows)
-    horizon = max(len(t) for t in library)
-    w = args.window
-    end = w - 1 + int(np.floor(rng.random() * horizon))
+    tr, offs, ends = experiments.draw_scenarios(
+        rng, library, args.flows, args.window, 1
+    )
     flows = [
-        FlowInstance(trace=library[tr[i]], start_offset=int(offs[i]), flow_id=i)
-        for i in range(args.flows)
+        FlowInstance(trace=library[t], start_offset=int(o), flow_id=i)
+        for i, (t, o) in enumerate(zip(tr[0], offs[0]))
     ]
-    sample = rate_sample(flows, MeasurementWindow(end, w))
+    sample = rate_sample(flows, MeasurementWindow(int(ends[0]), args.window))
     policy = admission.Policy(args.policy)
     if policy is admission.Policy.AVERAGE:
         decision = admission.decide_average(sample, req, link)

@@ -39,6 +39,10 @@ class BoundsTooTight(TraceError):
     """No integer frame size fits inside the requested rate bounds."""
 
 
+class ByteOverflow(VmacError):
+    """A byte sum could leave the int64 range, so it would not stay exact."""
+
+
 # -- rate measurement -------------------------------------------------------
 
 class MixedFps(VmacError):

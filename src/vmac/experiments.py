@@ -1,37 +1,40 @@
 """Monte Carlo harness for the rate-relationship experiments.
 
 Every experiment derives its randomness from a single master seed through
-`derive_run_seed`, so results are bit-identical across re-runs regardless
-of worker count.  Flow sets are composed per run: each flow independently
-picks a trace uniformly from the library and a start offset uniformly
-within it; the decision instant is then drawn uniformly over one full
-period of valid window end slots.
+`derive_run_seed`, so results are bit-identical across re-runs; runs are
+serial and the `workers` setting has no effect.  Flow sets are composed by
+`draw_scenarios`: each flow independently picks a trace uniformly from the
+library and a start offset uniformly within it; the decision instant is
+then drawn uniformly over one full period of valid window end slots.
 
 The probability of interest per run is whether the windowed average
 aggregate rate is strictly below the instantaneous aggregate rate at the
-decision instant; per repetition it is estimated over `runs_per_rep` runs,
-and the sweep reports mean plus confidence interval over `reps`
-repetitions.
+decision instant; per repetition it is estimated over `runs_per_rep` runs
+in one batched gather, and the sweep reports mean plus confidence interval
+over `reps` repetitions.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
+from .errors import ByteOverflow, ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
+from .rate_engine import aggregate_rate_series
 from .stats import MeanWithCI, mean_and_ci
 from .trace_model import (
-    BITS_PER_BYTE,
+    INT64_MAX,
     MBPS,
     ContentClass,
+    FlowInstance,
     VideoTrace,
     synth_onoff_trace,
 )
+
+_BATCH_FLOWS = 1 << 16  # flow draws per Monte Carlo kernel batch
 
 
 def derive_run_seed(master_seed: int, rep_index: int, run_index: int) -> int:
@@ -69,8 +72,10 @@ class ExperimentConfig:
                 )
         if any(n < 1 for n in self.flow_counts):
             raise ValueError("flow counts must be >= 1")
-        if self.window_slots < 1 or self.runs_per_rep < 1 or self.reps < 1:
-            raise ValueError("window_slots, runs_per_rep and reps must be >= 1")
+        if self.window_slots < 1 or self.runs_per_rep < 1:
+            raise ValueError("window_slots and runs_per_rep must be >= 1")
+        if self.reps < 2:
+            raise ValueError("reps must be >= 2 for a confidence interval")
         shortest = min(len(t) for t in self.trace_library)
         if shortest < self.window_slots:
             raise InsufficientHistory(
@@ -107,75 +112,73 @@ class BurstinessRow:
     cov: float
 
 
-def _draw_flow_tables(rng, library, n):
-    """Per-run flow composition: (trace indices, start offsets)."""
-    tr = np.floor(rng.random(n) * len(library)).astype(np.int64)
-    lens = np.array([len(library[i]) for i in tr], dtype=np.int64)
-    offs = np.floor(rng.random(n) * lens).astype(np.int64)
-    return tr, offs
+def draw_scenarios(rng, library, n, w, runs):
+    """Trace indices and start offsets, both (runs, n), and the end slot of
+    each run's `w`-slot window, (runs,), from one ``rng.random((runs, 2n+1))``
+    block; each row is consumed as one run: n trace picks, n offsets, then
+    the end slot over one period of the longest trace."""
+    u = rng.random((runs, 2 * n + 1))
+    lengths = np.array([len(t) for t in library], dtype=np.int64)
+    tr = np.floor(u[:, :n] * len(library)).astype(np.int64)
+    offs = np.floor(u[:, n:2 * n] * lengths[tr]).astype(np.int64)
+    ends = w - 1 + np.floor(u[:, 2 * n] * lengths.max()).astype(np.int64)
+    return tr, offs, ends
 
 
-def _run_avg_below_inst(rng, library, horizon, n, w) -> bool:
-    """One run: compose a flow set, pick a decision instant, compare rates.
-
-    The comparison win_bytes < w * inst_bytes is exact integer arithmetic,
-    so ties (the CBR case) never count.
-    """
-    tr, offs = _draw_flow_tables(rng, library, n)
-    end = w - 1 + int(np.floor(rng.random() * horizon))
-    inst_bytes = 0
-    win_bytes = 0
-    for i in range(n):
-        trace = library[tr[i]]
-        off = int(offs[i])
-        inst_bytes += trace.size_at(off + end)
-        win_bytes += trace.window_bytes(off + end - w + 1, w)
-    return win_bytes < w * inst_bytes
+def _cum2_stack(library):
+    """Each trace's doubled prefix sum as one zero-padded row, and the trace
+    lengths."""
+    lengths = np.array([len(t) for t in library], dtype=np.int64)
+    stack = np.zeros((len(library), 2 * lengths.max() + 1), dtype=np.int64)
+    for row, trace in zip(stack, library):
+        row[:len(trace._cum2)] = trace._cum2
+    return stack, lengths
 
 
-def _rep_probability(library, horizon, n, w, runs, seed) -> float:
+def _window_bytes(stack, w, tr, offs, ends):
+    """Per run: aggregate bytes over the window and in its last slot."""
+    cum2, lengths = stack
+    start = (offs + (ends - (w - 1))[:, None]) % lengths[tr]
+    lo = cum2[tr, start]
+    last = cum2[tr, start + w - 1]
+    hi = cum2[tr, start + w]
+    return (hi - lo).sum(axis=1), (hi - last).sum(axis=1)
+
+
+def _rep_probability(library, stack, n, w, runs, seed) -> float:
     rng = np.random.Generator(np.random.PCG64(seed))
+    # batches bound the memory of large runs; the draw order is unchanged
+    batch = max(1, _BATCH_FLOWS // max(n, 1))
     hits = 0
-    for _ in range(runs):
-        if _run_avg_below_inst(rng, library, horizon, n, w):
-            hits += 1
+    for done in range(0, runs, batch):
+        scenarios = draw_scenarios(rng, library, n, w, min(batch, runs - done))
+        win, inst = _window_bytes(stack, w, *scenarios)
+        # exact in int64, so ties (the CBR case) never count
+        hits += int(np.count_nonzero(win < w * inst))
     return hits / runs
 
 
-def _probability_scenario(
-    library, n, w, scenario_seed, reps, runs, confidence, workers
-) -> MeanWithCI:
-    horizon = max(len(t) for t in library)
-    seeds = [derive_run_seed(scenario_seed, rep, 0) for rep in range(reps)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(
-                pool.map(
-                    lambda s: _rep_probability(library, horizon, n, w, runs, s),
-                    seeds,
-                )
-            )
-    else:
-        values = [_rep_probability(library, horizon, n, w, runs, s) for s in seeds]
-    return mean_and_ci(values, confidence)
+def _probability_scenario(cfg, library, n, w, scenario_seed) -> MeanWithCI:
+    max_frame = max(int(t.sizes.max()) for t in library)
+    if n * w * max_frame > INT64_MAX:
+        raise ByteOverflow(f"{n} flows x {w} slots x {max_frame} bytes exceeds int64")
+    stack = _cum2_stack(library)
+    values = [
+        _rep_probability(library, stack, n, w, cfg.runs_per_rep,
+                         derive_run_seed(scenario_seed, rep, 0))
+        for rep in range(cfg.reps)
+    ]
+    return mean_and_ci(values, cfg.confidence)
 
 
 def run_probability_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Probability that the windowed average is below the instantaneous rate,
     per flow count, with mean and confidence interval over repetitions."""
-    rows = []
-    for idx, n in enumerate(cfg.flow_counts):
-        scenario_seed = derive_run_seed(cfg.master_seed, idx, 0)
-        rows.append(
-            (
-                n,
-                _probability_scenario(
-                    cfg.trace_library, n, cfg.window_slots, scenario_seed,
-                    cfg.reps, cfg.runs_per_rep, cfg.confidence, cfg.workers,
-                ),
-            )
-        )
-    return SweepResult(rows=tuple(rows))
+    return SweepResult(rows=tuple(
+        (n, _probability_scenario(cfg, cfg.trace_library, n, cfg.window_slots,
+                                  derive_run_seed(cfg.master_seed, idx, 0)))
+        for idx, n in enumerate(cfg.flow_counts)
+    ))
 
 
 def run_rate_timeseries(
@@ -189,16 +192,12 @@ def run_rate_timeseries(
             f"duration of {duration_slots} slots cannot fit a {w}-slot window"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    tr, offs = _draw_flow_tables(rng, cfg.trace_library, flow_count)
-    slots = np.arange(duration_slots)
-    agg = np.zeros(duration_slots, dtype=np.int64)
-    for i in range(flow_count):
-        trace = cfg.trace_library[tr[i]]
-        agg += np.take(trace.sizes, offs[i] + slots, mode="wrap")
-    fps = cfg.fps
-    cum = np.concatenate([[0], np.cumsum(agg)])
-    inst = agg[w - 1:] * BITS_PER_BYTE * fps
-    avg = (cum[w:] - cum[:-w]) * BITS_PER_BYTE / w * fps
+    tr, offs, _ = draw_scenarios(rng, cfg.trace_library, flow_count, w, 1)
+    flows = [
+        FlowInstance(trace=cfg.trace_library[t], start_offset=int(o))
+        for t, o in zip(tr[0], offs[0])
+    ]
+    inst, avg = aggregate_rate_series(flows, w, duration_slots)
     return TimeSeriesResult(
         slots=tuple(range(w - 1, duration_slots)),
         instantaneous=tuple(float(x) for x in inst),
@@ -246,19 +245,11 @@ def run_window_sweep(
             raise InsufficientHistory(
                 f"window of {w} slots exceeds shortest trace ({shortest} slots)"
             )
-    rows = []
-    for idx, w in enumerate(window_list):
-        scenario_seed = derive_run_seed(cfg.master_seed, idx, 2)
-        rows.append(
-            (
-                w,
-                _probability_scenario(
-                    cfg.trace_library, flow_count, w, scenario_seed,
-                    cfg.reps, cfg.runs_per_rep, cfg.confidence, cfg.workers,
-                ),
-            )
-        )
-    return tuple(rows)
+    return tuple(
+        (w, _probability_scenario(cfg, cfg.trace_library, flow_count, w,
+                                  derive_run_seed(cfg.master_seed, idx, 2)))
+        for idx, w in enumerate(window_list)
+    )
 
 
 def run_content_comparison(
@@ -268,7 +259,6 @@ def run_content_comparison(
 ) -> tuple[tuple[ContentClass, int, MeanWithCI], ...]:
     """Probability sweep restricted to each content class in turn."""
     rows = []
-    scenario = 0
     for content_class in classes:
         sub = tuple(
             t for t in cfg.trace_library if t.content_class is content_class
@@ -276,18 +266,9 @@ def run_content_comparison(
         if not sub:
             raise ClassMissing(content_class)
         for n in flow_counts:
-            scenario_seed = derive_run_seed(cfg.master_seed, scenario, 3)
-            scenario += 1
-            rows.append(
-                (
-                    content_class,
-                    n,
-                    _probability_scenario(
-                        sub, n, cfg.window_slots, scenario_seed,
-                        cfg.reps, cfg.runs_per_rep, cfg.confidence, cfg.workers,
-                    ),
-                )
-            )
+            scenario_seed = derive_run_seed(cfg.master_seed, len(rows), 3)
+            rows.append((content_class, n, _probability_scenario(
+                cfg, sub, n, cfg.window_slots, scenario_seed)))
     return tuple(rows)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import MixedFps, WindowOutOfRange
 from .trace_model import BITS_PER_BYTE, FlowInstance
 
@@ -83,6 +85,24 @@ def average_aggregate_rate(
     # integer bytes summed exactly; divide before the fps multiply so the
     # CBR case reduces to the instantaneous expression bit-for-bit
     return total_bytes * BITS_PER_BYTE / window.length_slots * fps
+
+
+def aggregate_rate_series(
+    flows: Sequence[FlowInstance], window_slots: int, n_slots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both aggregate rates, in bits/s, at every end slot from
+    ``window_slots - 1`` to ``n_slots - 1``: what `rate_sample` gives there,
+    from one integer cumsum of the summed per-slot bytes; zeros for no flows."""
+    fps = _shared_fps(flows) if flows else 0.0
+    slots = np.arange(n_slots)
+    agg = np.zeros(n_slots, dtype=np.int64)
+    for f in flows:
+        agg += np.take(f.trace.sizes, f.start_offset + slots, mode="wrap")
+    cum = np.concatenate([[0], np.cumsum(agg)])
+    w = window_slots
+    inst = agg[w - 1:] * BITS_PER_BYTE * fps
+    avg = (cum[w:] - cum[:-w]) * BITS_PER_BYTE / w * fps
+    return inst, avg
 
 
 def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> RateSample:

@@ -14,7 +14,6 @@ from typing import Sequence
 from scipy.stats import t as student_t
 
 from .errors import TooShort, ZeroMean
-from .rate_engine import RateSample
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,6 @@ def coefficient_of_variation(series: Sequence[float]) -> float:
     if s.mean <= 0:
         raise ZeroMean(f"coefficient of variation needs a positive mean, got {s.mean}")
     return s.sample_std / s.mean
-
-
-def empirical_probability_avg_below_inst(samples: Sequence[RateSample]) -> float:
-    """Fraction of samples whose windowed average is strictly below the
-    instantaneous rate (ties count as not-below)."""
-    if not samples:
-        raise TooShort("need at least one rate sample")
-    hits = sum(1 for s in samples if s.average < s.instantaneous)
-    return hits / len(samples)
 
 
 def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWithCI:

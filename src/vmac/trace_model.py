@@ -28,10 +28,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BoundsTooTight, EmptyTrace, MalformedLine, MissingFps
+from .errors import BoundsTooTight, ByteOverflow, EmptyTrace, MalformedLine, MissingFps
 
 BITS_PER_BYTE = 8
 MBPS = 1_000_000.0
+INT64_MAX = 2 ** 63 - 1
 
 
 class FrameType(enum.Enum):
@@ -88,7 +89,10 @@ class VideoTrace:
                     f"trace {self.id}: frame indices must be strictly increasing"
                 )
             prev = f.index
-        sizes = np.array([f.size for f in self.frames], dtype=np.int64)
+        sizes = [f.size for f in self.frames]
+        if 2 * sum(sizes) > INT64_MAX:
+            raise ByteOverflow(f"trace {self.id}: window sums would exceed int64")
+        sizes = np.array(sizes, dtype=np.int64)
         cum2 = np.zeros(2 * len(sizes) + 1, dtype=np.int64)
         np.cumsum(np.concatenate([sizes, sizes]), out=cum2[1:])
         object.__setattr__(self, "sizes", sizes)

@@ -88,6 +88,13 @@ def test_ingest_malformed_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_ingest_frame_size_beyond_int64_is_data_error(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    p.write_text("# fps=30\n" + str(10 ** 20) + "\n")
+    assert main(["ingest", str(p)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- experiment commands --------------------------------------------------------------
 
 def sweep_args(cbr_dir, out, extra=()):
@@ -114,6 +121,15 @@ def test_sweep_flows_byte_identical_reruns(cbr_dir, tmp_path):
     assert main(sweep_args(cbr_dir, out1)) == EXIT_OK
     assert main(sweep_args(cbr_dir, out2)) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_single_rep_is_usage_error(cbr_dir, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = sweep_args(cbr_dir, out)
+    argv[argv.index("--reps") + 1] = "1"
+    assert main(argv) == EXIT_USAGE
+    assert "reps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_env_var_used_when_flag_absent(cbr_dir, tmp_path, monkeypatch):

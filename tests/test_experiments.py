@@ -81,6 +81,12 @@ def test_bad_scalar_config_rejected():
         ExperimentConfig(trace_library=lib, workers=0)
 
 
+def test_single_rep_rejected_at_build_time():
+    lib = (make_trace([10] * 20),)
+    with pytest.raises(ValueError, match="reps"):
+        ExperimentConfig(trace_library=lib, reps=1)
+
+
 # -- degenerate CBR baseline -------------------------------------------------------
 
 def test_cbr_probability_exactly_zero(cbr_library):

@@ -1,4 +1,4 @@
-"""Burstiness metrics, empirical probabilities and confidence intervals."""
+"""Burstiness metrics and confidence intervals."""
 
 import math
 
@@ -7,21 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vmac.errors import TooShort, ZeroMean
-from vmac.rate_engine import MeasurementWindow, RateSample
 from vmac.stats import (
     coefficient_of_variation,
-    empirical_probability_avg_below_inst,
     mean_and_ci,
     peak_to_mean,
     summarize,
 )
-
-WINDOW = MeasurementWindow(end_slot=4, length_slots=5)
-
-
-def rs(avg, inst):
-    return RateSample(instantaneous=inst, average=avg, window=WINDOW)
-
 
 # -- peak-to-mean ---------------------------------------------------------------
 
@@ -76,36 +67,6 @@ def test_cov_scale_invariant(series, k):
     assert coefficient_of_variation([k * x for x in series]) == pytest.approx(
         coefficient_of_variation(series), rel=1e-9
     )
-
-
-# -- empirical probability --------------------------------------------------------
-
-def test_probability_all_ties_is_zero():
-    samples = [rs(2.0, 2.0)] * 10
-    assert empirical_probability_avg_below_inst(samples) == 0.0
-
-
-def test_probability_half():
-    samples = [rs(1.0, 2.0), rs(2.0, 1.0)]
-    assert empirical_probability_avg_below_inst(samples) == 0.5
-
-
-def test_probability_tie_not_counted():
-    samples = [rs(1.0, 2.0), rs(2.0, 2.0)]
-    assert empirical_probability_avg_below_inst(samples) == 0.5
-
-
-def test_probability_needs_samples():
-    with pytest.raises(TooShort):
-        empirical_probability_avg_below_inst([])
-
-
-@given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)), min_size=1))
-def test_probability_order_invariant(pairs):
-    samples = [rs(a, i) for a, i in pairs]
-    assert empirical_probability_avg_below_inst(
-        samples
-    ) == empirical_probability_avg_below_inst(list(reversed(samples)))
 
 
 # -- mean and confidence interval ---------------------------------------------------

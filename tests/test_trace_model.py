@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vmac.errors import (
     BoundsTooTight,
+    ByteOverflow,
     EmptyTrace,
     MalformedLine,
     MissingFps,
@@ -144,6 +145,30 @@ def test_window_bytes_wraps_and_matches_naive():
         for count in (1, 3, 5, 8, 12):
             naive = sum(trace.size_at(start + k) for k in range(count))
             assert trace.window_bytes(start, count) == naive
+
+
+# -- int64 exactness ------------------------------------------------------------
+
+def test_frame_size_beyond_int64_rejected(tmp_path):
+    p = tmp_path / "huge.txt"
+    p.write_text("# fps=30\n100\n" + str(10 ** 20) + "\n")
+    with pytest.raises(ByteOverflow):
+        parse_trace_file(p)
+
+
+def test_window_sum_that_would_wrap_rejected():
+    # three frames of 2^62 bytes: a two-slot window sum is 2^63, one past
+    # int64, and used to come back as -2^63
+    with pytest.raises(ByteOverflow):
+        make_trace([2 ** 62] * 3)
+
+
+def test_largest_exact_trace_accepted():
+    # twice the byte total is exactly the int64 maximum
+    half = (2 ** 63 - 1) // 2
+    trace = make_trace([half - 1, 1])
+    assert trace.window_bytes(0, 2) == half
+    assert trace.window_bytes(1, 3) == half + 1
 
 
 # -- bounded synthesis --------------------------------------------------------

@@ -38,6 +38,8 @@ NEWS_SEED = 7
 SPORTS_SEED = 8
 SAMPLE_SEED = 5
 
+TRACES_ROOT = Path(__file__).resolve().parent.parent / "traces"
+
 
 def synth_gop_trace(
     length: int,
@@ -74,9 +76,7 @@ def write_library(traces, directory: Path) -> None:
         print(f"wrote {directory / (trace.id + '.txt')}")
 
 
-def main() -> None:
-    root = Path(__file__).resolve().parent.parent / "traces"
-
+def main(root: Path = TRACES_ROOT) -> None:
     write_library(bursty_library(BURSTY_SEED), root / "bursty")
 
     content = content_library(NEWS_SEED, ContentClass.NEWS) + content_library(

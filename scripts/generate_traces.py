@@ -25,13 +25,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vmac.experiments import bursty_library, content_library
-from vmac.trace_model import (
-    ContentClass,
-    FrameRecord,
-    FrameType,
-    VideoTrace,
-    serialize_trace,
-)
+from vmac.trace_model import ContentClass, VideoTrace, serialize_trace
 
 BURSTY_SEED = 42
 NEWS_SEED = 7
@@ -56,15 +50,13 @@ def synth_gop_trace(
     pattern = "IBBPBBPBBPBB"
     nominal = {"I": i_size, "P": p_size, "B": b_size}
     rng = np.random.Generator(np.random.PCG64(seed))
-    frames = []
-    for k in range(length):
-        letter = pattern[k % len(pattern)]
-        size = int(nominal[letter] * rng.uniform(1.0 - jitter, 1.0 + jitter))
-        frames.append(
-            FrameRecord(index=k, frame_type=FrameType(letter), size=size)
-        )
+    types = "".join(pattern[k % len(pattern)] for k in range(length))
+    sizes = [
+        int(nominal[letter] * rng.uniform(1.0 - jitter, 1.0 + jitter))
+        for letter in types
+    ]
     return VideoTrace(
-        id=trace_id, frames=tuple(frames), fps=fps,
+        id=trace_id, sizes=sizes, fps=fps, frame_types=types,
         content_class=ContentClass.MOVIE,
     )
 

@@ -3,6 +3,8 @@
 Peak-to-mean ratio and coefficient of variation are the two burstiness
 indices; mean_and_ci produces Student-t confidence intervals over a small
 number of experiment repetitions (sample standard deviation, divisor n-1).
+The t quantile comes from ``scipy.special.stdtrit``, imported on the first
+interval so that importing vmac does not load scipy.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy.stats import t as student_t
 
 from .errors import TooShort, ZeroMean
 
@@ -75,7 +75,9 @@ def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWi
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     s = summarize(rep_values)
-    quantile = float(student_t.ppf((1.0 + confidence) / 2.0, n - 1))
+    from scipy.special import stdtrit  # what scipy.stats.t.ppf evaluates
+
+    quantile = float(stdtrit(n - 1, (1.0 + confidence) / 2.0))
     half_width = quantile * s.sample_std / math.sqrt(n)
     return MeanWithCI(
         mean=s.mean, ci_half_width=half_width, confidence=confidence, reps=n

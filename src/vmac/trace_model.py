@@ -13,9 +13,14 @@ Trace file format (plain text, one frame per line):
     0 I 12000
     1 P 4000
 
-Lines are either ``<size_bytes>`` or ``<index> <type-char> <size_bytes>``.
-``#`` starts a comment; the optional ``# fps=`` and ``# class=`` directives
-set the frame rate and content class.
+Lines are either ``<size_bytes>`` or ``<index> <type-char> <size_bytes>``;
+a 1-column line's index is its frame's ordinal, and a type other than I, P
+or B is unknown.  Indices must increase strictly.  A line whose first
+non-blank character is ``#`` is a comment; the optional ``# fps=`` and
+``# class=`` directives set the frame rate and content class.
+
+A parsed trace is held as columns (`VideoTrace.sizes`, `.frame_types`,
+`.indices`); `VideoTrace.frames` builds per-frame records on demand.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +47,9 @@ class FrameType(enum.Enum):
     P = "P"
     B = "B"
     UNKNOWN = "?"
+
+
+_TYPE_CHARS = {t.value for t in FrameType}
 
 
 class ContentClass(enum.Enum):
@@ -63,43 +73,98 @@ class FrameRecord:
             raise ValueError(f"frame size must be >= 0, got {self.size}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VideoTrace:
-    """Immutable parsed trace; shareable across threads."""
+    """Immutable parsed trace, held as columns; shareable across threads.
+
+    `sizes` (bytes per frame) and `indices` are read-only int64 arrays and
+    `frame_types` holds one character of "IPB?" per frame.  Without
+    `indices` the frames are numbered 0, 1, 2, ...; without `frame_types`
+    every type is unknown ("?").  Equality and hashing are by value.
+    """
 
     id: str
-    frames: tuple[FrameRecord, ...]
+    sizes: np.ndarray = field(repr=False)
     fps: float
     content_class: ContentClass = ContentClass.UNKNOWN
+    frame_types: Optional[str] = field(default=None, repr=False)
+    indices: Optional[np.ndarray] = field(default=None, repr=False)
 
-    # cached per-slot byte sizes and a doubled prefix sum for O(1) wrapped
-    # window sums; both derived from `frames` and excluded from equality
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum2: np.ndarray = field(init=False, repr=False, compare=False)
+    # doubled prefix sum of `sizes` for O(1) wrapped window sums
+    _cum2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.frames:
+        try:
+            sizes = np.array(self.sizes, dtype=np.int64)
+        except OverflowError:
+            raise ByteOverflow(f"trace {self.id}: a frame size exceeds int64") from None
+        if sizes.ndim != 1:
+            raise ValueError(f"trace {self.id}: sizes must be one-dimensional")
+        n = len(sizes)
+        if n == 0:
             raise EmptyTrace(self.id)
         if not (self.fps > 0 and math.isfinite(self.fps)):
             raise ValueError(f"fps must be a positive real, got {self.fps}")
-        prev = -1
-        for f in self.frames:
-            if f.index <= prev:
+        frame_types = "?" * n if self.frame_types is None else "".join(self.frame_types)
+        if len(frame_types) != n or not set(frame_types) <= _TYPE_CHARS:
+            raise ValueError(
+                f"trace {self.id}: need one frame type of 'IPB?' per frame"
+            )
+        if self.indices is None:
+            indices = np.arange(n, dtype=np.int64)
+        else:
+            try:
+                indices = np.array(self.indices, dtype=np.int64)
+            except OverflowError:
                 raise ValueError(
-                    f"trace {self.id}: frame indices must be strictly increasing"
-                )
-            prev = f.index
-        sizes = [f.size for f in self.frames]
-        if 2 * sum(sizes) > INT64_MAX:
+                    f"trace {self.id}: a frame index exceeds int64"
+                ) from None
+            if indices.shape != sizes.shape:
+                raise ValueError(f"trace {self.id}: need one index per frame")
+        if indices[0] < 0 or (indices[1:] <= indices[:-1]).any():
+            raise ValueError(
+                f"trace {self.id}: frame indices must be >= 0 and strictly increasing"
+            )
+        if sizes.min() < 0:
+            raise ValueError(f"trace {self.id}: frame sizes must be >= 0")
+        # the exact Python sum only runs when the cheap bound cannot rule
+        # out a doubled byte total beyond int64
+        if sizes.max() > INT64_MAX // (2 * n) and 2 * sum(sizes.tolist()) > INT64_MAX:
             raise ByteOverflow(f"trace {self.id}: window sums would exceed int64")
-        sizes = np.array(sizes, dtype=np.int64)
-        cum2 = np.zeros(2 * len(sizes) + 1, dtype=np.int64)
+        cum2 = np.zeros(2 * n + 1, dtype=np.int64)
         np.cumsum(np.concatenate([sizes, sizes]), out=cum2[1:])
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "_cum2", cum2)
+        for name, value in (("sizes", sizes), ("indices", indices), ("_cum2", cum2)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "frame_types", frame_types)
+
+    def __eq__(self, other):
+        if not isinstance(other, VideoTrace):
+            return NotImplemented
+        return (
+            (self.id, self.fps, self.content_class, self.frame_types)
+            == (other.id, other.fps, other.content_class, other.frame_types)
+            and np.array_equal(self.sizes, other.sizes)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def __hash__(self):
+        return hash((
+            self.id, self.fps, self.content_class, self.frame_types,
+            self.sizes.tobytes(), self.indices.tobytes(),
+        ))
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.sizes)
+
+    @property
+    def frames(self) -> tuple[FrameRecord, ...]:
+        """The frames as records, built on each access."""
+        columns = zip(self.indices.tolist(), self.frame_types, self.sizes.tolist())
+        return tuple(
+            FrameRecord(index=i, frame_type=FrameType(t), size=s)
+            for i, t, s in columns
+        )
 
     def size_at(self, slot: int) -> int:
         """Byte size of the frame occupying `slot` (wrapping)."""
@@ -164,60 +229,129 @@ def flow_rate_at(flow: FlowInstance, slot: int) -> float:
 
 
 _CLASS_ALIASES = {c.value: c for c in ContentClass}
+# a type token other than I, P or B is an unknown type
+_TYPE_OF_TOKEN = {"I": "I", "P": "P", "B": "B"}
+
+
+def _fps_directive(directive: str) -> Optional[float]:
+    """The frame rate an ``fps=`` directive sets, or None if it is not a
+    positive finite number."""
+    try:
+        fps = float(directive[4:])
+    except ValueError:
+        return None
+    return fps if fps > 0 and math.isfinite(fps) else None
+
+
+def _split_comments(text: str) -> tuple[list[str], str]:
+    """The comment lines of `text`, those whose first non-blank character is
+    '#', stripped; and `text` with each of them emptied."""
+    comments, pieces, done = [], [], 0
+    pos = text.find("#")
+    while pos >= 0:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        if not text[start:pos].strip():
+            comments.append(text[start:end].strip())
+            pieces.append(text[done:start])
+            done = end
+        pos = text.find("#", end)
+    pieces.append(text[done:])
+    return comments, "".join(pieces)
+
+
+def _data_row(parts: list[str], ordinal: int) -> tuple[int, str, int]:
+    """(index, type char, size) of one data row split into tokens; a
+    1-column row is a frame of unknown type numbered by its `ordinal`.
+    ValueError if the row has another width or a token is not an integer."""
+    if len(parts) == 1:
+        return ordinal, "?", int(parts[0])
+    if len(parts) == 3:
+        return int(parts[0]), _TYPE_OF_TOKEN.get(parts[1], "?"), int(parts[2])
+    raise ValueError(f"{len(parts)} columns")
+
+
+def _columns(body: str) -> tuple[list[int], str, list[int]]:
+    """Index, frame-type and size columns of the data rows of `body`, which
+    holds no comment lines.  ValueError if a row is malformed."""
+    rows = list(filter(None, map(str.split, body.split("\n"))))
+    if set(map(len, rows)) != {3}:
+        rows = [_data_row(parts, k) for k, parts in enumerate(rows)]
+    indices = list(map(int, map(itemgetter(0), rows)))
+    types = "".join(map(_TYPE_OF_TOKEN.get, map(itemgetter(1), rows), repeat("?")))
+    sizes = list(map(int, map(itemgetter(2), rows)))
+    return indices, types, sizes
+
+
+def _first_malformed_line(path, text: str) -> Optional[MalformedLine]:
+    """The first line of `text`, in file order, that breaks the trace
+    format: a bad ``fps=`` directive, a row that is not 1 or 3 integer
+    columns, a negative size, or an index that is not above the previous
+    one or is beyond int64.  None if every line is well formed."""
+    ordinal, prev = 0, -1
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            directive = line[1:].strip()
+            if directive.startswith("fps=") and _fps_directive(directive) is None:
+                return MalformedLine(path, line_no, line)
+            continue
+        try:
+            index, _, size = _data_row(line.split(), ordinal)
+        except ValueError:
+            return MalformedLine(path, line_no, line)
+        if size < 0 or not prev < index <= INT64_MAX:
+            return MalformedLine(path, line_no, line)
+        prev, ordinal = index, ordinal + 1
+    return None
 
 
 def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
     """Parse a frame-size trace file.
 
     The in-file ``# fps=`` directive wins over `fps_override`; if neither is
-    present, MissingFps is raised.
+    present, MissingFps is raised.  A line that breaks the format raises
+    MalformedLine with its line number.
+
+    The file is read whole and its columns converted in one pass; only when
+    that fails is it scanned line by line to find the offending line.
     """
     path = Path(path)
+    text = path.read_text(encoding="utf-8")
     fps: Optional[float] = None
     content_class = ContentClass.UNKNOWN
-    frames: list[FrameRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                directive = line[1:].strip()
-                if directive.startswith("fps="):
-                    try:
-                        fps = float(directive[4:])
-                    except ValueError:
-                        raise MalformedLine(path, line_no, line) from None
-                    if not fps > 0:
-                        raise MalformedLine(path, line_no, line)
-                elif directive.startswith("class="):
-                    name = directive[6:].strip().lower()
-                    content_class = _CLASS_ALIASES.get(name, ContentClass.UNKNOWN)
-                continue
-            parts = line.split()
-            try:
-                if len(parts) == 1:
-                    index, ftype, size = len(frames), FrameType.UNKNOWN, int(parts[0])
-                elif len(parts) == 3:
-                    index = int(parts[0])
-                    ftype = FrameType(parts[1]) if parts[1] in "IPB" else FrameType.UNKNOWN
-                    size = int(parts[2])
-                else:
-                    raise ValueError(line)
-                if size < 0:
-                    raise ValueError(line)
-            except ValueError:
-                raise MalformedLine(path, line_no, line) from None
-            frames.append(FrameRecord(index=index, frame_type=ftype, size=size))
-    if not frames:
-        raise EmptyTrace(path)
-    if fps is None:
-        fps = fps_override
-    if fps is None:
-        raise MissingFps(path)
-    return VideoTrace(
-        id=path.stem, frames=tuple(frames), fps=fps, content_class=content_class
-    )
+    comments, body = _split_comments(text)
+    for comment in comments:
+        directive = comment[1:].strip()
+        if directive.startswith("fps="):
+            fps = _fps_directive(directive)
+            if fps is None:
+                raise _first_malformed_line(path, text)
+        elif directive.startswith("class="):
+            name = directive[6:].strip().lower()
+            content_class = _CLASS_ALIASES.get(name, ContentClass.UNKNOWN)
+    try:
+        indices, types, sizes = _columns(body)
+        if not sizes:
+            raise EmptyTrace(path)
+        if fps is None:
+            fps = fps_override
+        if fps is None:
+            raise MissingFps(path)
+        return VideoTrace(
+            id=path.stem, sizes=sizes, fps=fps, content_class=content_class,
+            frame_types=types, indices=indices,
+        )
+    except (ValueError, ByteOverflow):
+        # a bad `fps_override` raises ValueError too: no line is to blame,
+        # so it is re-raised as it is
+        malformed = _first_malformed_line(path, text)
+        if malformed is None:
+            raise
+        raise malformed from None
 
 
 def serialize_trace(trace: VideoTrace, path) -> None:
@@ -227,8 +361,12 @@ def serialize_trace(trace: VideoTrace, path) -> None:
         fh.write(f"# fps={trace.fps:g}\n")
         if trace.content_class is not ContentClass.UNKNOWN:
             fh.write(f"# class={trace.content_class.value}\n")
-        for f in trace.frames:
-            fh.write(f"{f.index} {f.frame_type.value} {f.size}\n")
+        fh.writelines(
+            f"{index} {ftype} {size}\n"
+            for index, ftype, size in zip(
+                trace.indices.tolist(), trace.frame_types, trace.sizes.tolist()
+            )
+        )
 
 
 def synth_bounded_trace(
@@ -255,11 +393,7 @@ def synth_bounded_trace(
     rng = np.random.Generator(np.random.PCG64(seed))
     rates = rng.uniform(bounds.min_rate, bounds.max_rate, size=length)
     sizes = np.floor(rates / factor).astype(np.int64)
-    frames = tuple(
-        FrameRecord(index=k, frame_type=FrameType.UNKNOWN, size=int(s))
-        for k, s in enumerate(sizes)
-    )
-    return VideoTrace(id=trace_id, frames=frames, fps=fps)
+    return VideoTrace(id=trace_id, sizes=sizes, fps=fps)
 
 
 def synth_onoff_trace(
@@ -303,10 +437,6 @@ def synth_onoff_trace(
         if noise:
             level *= rng.uniform(1.0 - noise, 1.0 + noise)
         sizes[k] = int(level / factor)
-    frames = tuple(
-        FrameRecord(index=k, frame_type=FrameType.UNKNOWN, size=int(s))
-        for k, s in enumerate(sizes)
-    )
     return VideoTrace(
-        id=trace_id, frames=frames, fps=fps, content_class=content_class
+        id=trace_id, sizes=sizes, fps=fps, content_class=content_class
     )

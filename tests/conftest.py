@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from vmac.experiments import bursty_library
-from vmac.trace_model import FrameRecord, FrameType, VideoTrace
+from vmac.trace_model import VideoTrace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRACES_DIR = REPO_ROOT / "traces"
@@ -13,14 +13,10 @@ TRACES_DIR = REPO_ROOT / "traces"
 
 def make_trace(sizes, fps=30.0, trace_id="t", content_class=None):
     """Build a VideoTrace from a plain list of frame sizes in bytes."""
-    frames = tuple(
-        FrameRecord(index=k, frame_type=FrameType.UNKNOWN, size=s)
-        for k, s in enumerate(sizes)
-    )
     if content_class is None:
-        return VideoTrace(id=trace_id, frames=frames, fps=fps)
+        return VideoTrace(id=trace_id, sizes=sizes, fps=fps)
     return VideoTrace(
-        id=trace_id, frames=frames, fps=fps, content_class=content_class
+        id=trace_id, sizes=sizes, fps=fps, content_class=content_class
     )
 
 

@@ -40,8 +40,6 @@ from vmac.trace_model import (
     ContentClass,
     FlowInstance,
     FlowRateBounds,
-    FrameRecord,
-    FrameType,
     VideoTrace,
     parse_trace_file,
     synth_bounded_trace,
@@ -254,10 +252,7 @@ def test_criterion_6_degenerate_exactness():
     library = tuple(
         VideoTrace(
             id=f"cbr-{size}",
-            frames=tuple(
-                FrameRecord(index=k, frame_type=FrameType.UNKNOWN, size=size)
-                for k in range(60)
-            ),
+            sizes=[size] * 60,
             fps=30.0,
         )
         for size in (1000, 2500, 4000)
@@ -324,10 +319,7 @@ def test_criterion_7_closed_form_spot_checks():
     # window average of {1,2,3,4,5} Mbps is exactly 3 Mbps
     trace = VideoTrace(
         id="ramp",
-        frames=tuple(
-            FrameRecord(index=k, frame_type=FrameType.UNKNOWN, size=5000 * (k + 1))
-            for k in range(5)
-        ),
+        sizes=[5000 * (k + 1) for k in range(5)],
         fps=25.0,
     )
     flow = FlowInstance(trace=trace, start_offset=0)

@@ -88,6 +88,29 @@ def test_ingest_malformed_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("# fps=inf\n100\n", 1),
+        ("# fps=30\n0 I 100\n0 P 50\n", 3),
+        ("# fps=30\n-1 I 100\n", 2),
+    ],
+    ids=["fps-inf", "duplicate-index", "negative-index"],
+)
+def test_ingest_bad_trace_data_is_data_error(tmp_path, capsys, text, line_no):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    assert main(["ingest", str(p)]) == EXIT_DATA
+    assert f"line {line_no}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fps", ["inf", "0", "nan"])
+def test_ingest_bad_fps_flag_is_usage_error(tmp_path, fps):
+    p = tmp_path / "t.txt"
+    p.write_text("1000\n2000\n")
+    assert main(["ingest", str(p), "--fps", fps]) == EXIT_USAGE
+
+
 def test_ingest_frame_size_beyond_int64_is_data_error(tmp_path, capsys):
     p = tmp_path / "huge.txt"
     p.write_text("# fps=30\n" + str(10 ** 20) + "\n")

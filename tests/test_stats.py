@@ -1,6 +1,9 @@
 """Burstiness metrics and confidence intervals."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -13,6 +16,8 @@ from vmac.stats import (
     peak_to_mean,
     summarize,
 )
+
+from .conftest import REPO_ROOT, TRACES_DIR
 
 # -- peak-to-mean ---------------------------------------------------------------
 
@@ -112,3 +117,38 @@ def test_summarize_basics():
     assert s.peak == 3.0
     assert s.count == 3
     assert s.sample_std == pytest.approx(1.0)
+
+
+# -- t quantile and import cost ----------------------------------------------------
+
+def test_quantile_matches_scipy_stats_bit_for_bit():
+    from scipy.special import stdtrit
+    from scipy.stats import t
+
+    for confidence in (0.8, 0.9, 0.95, 0.99):
+        q = (1.0 + confidence) / 2.0
+        for df in range(1, 61):
+            values = [0.25 * (k % 3) + 0.01 * k for k in range(df + 1)]
+            s = summarize(values)
+            expected = float(t.ppf(q, df)) * s.sample_std / math.sqrt(df + 1)
+            got = mean_and_ci(values, confidence).ci_half_width
+            assert got == expected, (confidence, df)
+    assert float(stdtrit(4, 0.975)) == 2.7764451051977934
+
+
+def test_import_and_parse_leave_scipy_unloaded():
+    code = (
+        "import sys, pathlib, vmac\n"
+        "for p in sorted(pathlib.Path(sys.argv[1]).glob('*.txt')):\n"
+        "    vmac.parse_trace_file(p)\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy'\n"
+        "vmac.mean_and_ci([0.25, 0.5, 0.75])\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(TRACES_DIR / "bursty")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr

@@ -1,18 +1,24 @@
 """Trace parsing, synthesis and per-flow rate lookup."""
 
+import io
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmac import cli
 from vmac.errors import (
     BoundsTooTight,
     ByteOverflow,
     EmptyTrace,
     MalformedLine,
     MissingFps,
+    TraceError,
 )
 from vmac.trace_model import (
     BITS_PER_BYTE,
@@ -21,6 +27,7 @@ from vmac.trace_model import (
     FlowInstance,
     FlowRateBounds,
     FrameType,
+    VideoTrace,
     flow_rate_at,
     parse_trace_file,
     serialize_trace,
@@ -81,6 +88,34 @@ def test_negative_size_is_malformed(tmp_path):
     p.write_text("# fps=30\n-5\n")
     with pytest.raises(MalformedLine):
         parse_trace_file(p)
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("# fps=30\n0 I 1\n9223372036854775808 I 5\n", 3),
+        ("# fps=30\n5 I 1\n7 P 2\n2\n", 4),
+        ("# fps=30\n0 I 1\n1 P\n", 3),
+        ("\n# fps=1e999\n0\n", 2),
+        ("  # fps=30\n\t# fps=-2\n0\n", 2),
+        ("# fps=30\n-0 I 1\n-3\n", 3),
+    ],
+)
+def test_malformed_row_or_directive_line_number(tmp_path, text, line_no):
+    p = tmp_path / "t.txt"
+    p.write_text(text)
+    with pytest.raises(MalformedLine) as exc:
+        parse_trace_file(p)
+    assert exc.value.line_no == line_no
+
+
+def test_mixed_and_commented_rows(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("0 I 5\n  # note\n\n1\n\t2 X 7\n# fps=30\n9 B 3\n")
+    trace = parse_trace_file(p)
+    assert trace.indices.tolist() == [0, 1, 2, 9]
+    assert trace.frame_types == "I??B"
+    assert trace.sizes.tolist() == [5, 1, 7, 3]
 
 
 def test_empty_file_rejected(tmp_path):
@@ -257,3 +292,187 @@ def test_flow_offset_validation():
     trace = make_trace([1, 2, 3])
     with pytest.raises(ValueError):
         FlowInstance(trace=trace, start_offset=3)
+
+
+# -- columnar traces ---------------------------------------------------------------
+
+def test_columns_are_read_only_and_frames_built_on_demand():
+    trace = VideoTrace(
+        id="t", sizes=[7, 0, 9], fps=30.0, frame_types="IB?", indices=[2, 5, 6]
+    )
+    assert trace.sizes.dtype == np.int64 and trace.indices.dtype == np.int64
+    with pytest.raises(ValueError):
+        trace.sizes[0] = 1
+    with pytest.raises(ValueError):
+        trace.indices[0] = 1
+    assert [(f.index, f.frame_type, f.size) for f in trace.frames] == [
+        (2, FrameType.I, 7), (5, FrameType.B, 0), (6, FrameType.UNKNOWN, 9),
+    ]
+    plain = VideoTrace(id="t", sizes=[7, 0, 9], fps=30.0)
+    assert plain.frame_types == "???"
+    assert plain.indices.tolist() == [0, 1, 2]
+
+
+def test_equality_and_hash_by_value():
+    a = VideoTrace(id="t", sizes=[1, 2], fps=30.0, frame_types="IP")
+    b = VideoTrace(id="t", sizes=np.array([1, 2]), fps=30.0, frame_types="IP")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != VideoTrace(id="t", sizes=[1, 3], fps=30.0, frame_types="IP")
+    assert a != VideoTrace(id="t", sizes=[1, 2], fps=30.0, frame_types="IB")
+    assert a != VideoTrace(id="t", sizes=[1, 2], fps=30.0, frame_types="IP",
+                           indices=[0, 2])
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        dict(sizes=[1, -1]),
+        dict(sizes=[[1, 2]]),
+        dict(sizes=[1, 2], indices=[0, 0]),
+        dict(sizes=[1, 2], indices=[1, 0]),
+        dict(sizes=[1, 2], indices=[-1, 0]),
+        dict(sizes=[1, 2], indices=[0]),
+        dict(sizes=[1, 2], indices=[0, 2 ** 63]),
+        dict(sizes=[1, 2], frame_types="I"),
+        dict(sizes=[1, 2], frame_types="IX"),
+    ],
+)
+def test_invalid_columns_rejected(columns):
+    with pytest.raises(ValueError):
+        VideoTrace(id="t", fps=30.0, **columns)
+
+
+# -- parser fuzz -----------------------------------------------------------------------
+
+INT_FORMS = (
+    str,
+    lambda v: "+" + str(v),
+    lambda v: "00" + str(v),
+    lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda v: str(v).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    lambda v: f"{v:_}",
+)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " ", "   "])
+BAD_TOKENS = st.sampled_from(["abc", "1.5", "--1", "1e3", "0x10", "²", "1__0"])
+EXTRA_LINES = st.one_of(
+    st.sampled_from(["", "   ", "\t", "#", "  # note", "# class=news",
+                     "#class=Sports", "# class=unknown-thing"]),
+    st.text(st.characters(blacklist_characters="\n\r"), max_size=12).map(
+        lambda t: "# note " + t
+    ),
+)
+CORRUPTIONS = (
+    "garbage", "negative-size", "negative-index", "repeat-index", "bad-fps",
+    "two-columns", "four-columns", "huge-size", "huge-index", "no-fps",
+)
+
+
+@st.composite
+def trace_texts(draw):
+    """(text, fps override, expected (indices, types, sizes) or None when
+    the text is invalid by construction)."""
+    n = draw(st.integers(1, 25))
+    layout = draw(st.sampled_from(["one", "three", "mixed"]))
+    sizes = draw(st.lists(st.integers(0, 2 ** 40), min_size=n, max_size=n))
+    widths = [{"one": 1, "three": 3}.get(layout) or draw(st.sampled_from([1, 3]))
+              for _ in range(n)]
+    indices, prev = [], -1
+    for k, width in enumerate(widths):
+        gap = draw(st.integers(1, 1000)) if layout == "three" else 0
+        indices.append(prev + gap if layout == "three" else k)
+        prev = indices[-1]
+    types = [draw(st.sampled_from(["I", "P", "B", "?", "X", "IP", "7"]))
+             if w == 3 else "?" for w in widths]
+    corruption = draw(st.sampled_from((None,) * len(CORRUPTIONS) + CORRUPTIONS))
+    victim = draw(st.integers(0, n - 1))
+
+    def number(v):
+        return draw(st.sampled_from(INT_FORMS))(v)
+
+    rows = []
+    for k in range(n):
+        cols = [number(sizes[k])]
+        if widths[k] == 3:
+            cols = [number(indices[k]), types[k], cols[0]]
+        if k == victim:
+            if corruption == "garbage":
+                cols[-1] = draw(BAD_TOKENS)
+            elif corruption == "negative-size":
+                cols[-1] = str(-1 - sizes[k])
+            elif corruption == "negative-index":
+                cols = ["-1", "I", cols[-1]]
+            elif corruption == "repeat-index":
+                rows.append(f"{indices[k]} I {sizes[k]}")
+                cols = [str(indices[k]), "P", cols[-1]]
+            elif corruption == "two-columns":
+                cols = cols[-2:] if len(cols) == 3 else ["0", cols[0]]
+            elif corruption == "four-columns":
+                cols = cols + ["9"]
+            elif corruption == "huge-size":
+                cols[-1] = str(draw(st.integers(2 ** 63, 10 ** 30)))
+            elif corruption == "huge-index":
+                cols = [str(2 ** 63 + indices[k]), "I", cols[-1]]
+        sep = draw(SEPARATORS)
+        rows.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(cols))
+    lines = [draw(st.lists(EXTRA_LINES, max_size=2)) + [row] for row in rows]
+    lines = [line for group in lines for line in group]
+    fps_line = "# fps=" + draw(st.sampled_from(["30", "29.97", " 25", "1e2"]))
+    if corruption == "bad-fps":
+        fps_line = "# fps=" + draw(st.sampled_from(["inf", "nan", "0", "-3", "x", ""]))
+    override = None
+    if corruption == "no-fps":
+        fps_line = None
+    elif corruption != "bad-fps" and draw(st.booleans()):
+        override, fps_line = 25.0, None
+    if fps_line is not None:
+        lines.insert(draw(st.integers(0, len(lines))), fps_line)
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    expected = None
+    if corruption is None:
+        expected = (indices, "".join(t if t in "IPB?" and len(t) == 1 else "?"
+                                     for t in types), sizes)
+    return text, override, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=trace_texts())
+def test_parser_fuzz(case):
+    text, override, expected = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            trace = parse_trace_file(path, override)
+        except (TraceError, ByteOverflow):
+            assert expected is None
+        else:
+            assert expected is not None
+            assert (trace.indices.tolist(), trace.frame_types,
+                    trace.sizes.tolist()) == expected
+        argv = ["ingest", str(path)] + (["--fps", "25"] if override else [])
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            status = cli.main(argv)
+        assert status == (cli.EXIT_OK if expected is not None else cli.EXIT_DATA)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_serialize_parse_round_trip_columns(sizes, data):
+    n = len(sizes)
+    gaps = data.draw(st.lists(st.integers(1, 2 ** 20), min_size=n, max_size=n))
+    trace = VideoTrace(
+        id=data.draw(st.sampled_from(["a", "trace-1", "x_y"])),
+        sizes=sizes,
+        fps=data.draw(st.sampled_from([1.0, 24.0, 25.0, 29.97, 30.0, 59.94, 120.0])),
+        content_class=data.draw(st.sampled_from(list(ContentClass))),
+        frame_types=data.draw(st.text("IPB?", min_size=n, max_size=n)),
+        indices=np.cumsum(gaps) - 1,
+    )
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / f"{trace.id}.txt"
+        serialize_trace(trace, path)
+        assert parse_trace_file(path) == trace

@@ -358,7 +358,8 @@ BAD_TOKENS = st.sampled_from(["abc", "1.5", "--1", "1e3", "0x10", "²", "1__0"])
 EXTRA_LINES = st.one_of(
     st.sampled_from(["", "   ", "\t", "#", "  # note", "# class=news",
                      "#class=Sports", "# class=unknown-thing"]),
-    st.text(st.characters(blacklist_characters="\n\r"), max_size=12).map(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+            max_size=12).map(
         lambda t: "# note " + t
     ),
 )

@@ -75,7 +75,7 @@ def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWi
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     s = summarize(rep_values)
-    from scipy.special import stdtrit  # what scipy.stats.t.ppf evaluates
+    from scipy.special import stdtrit  # the quantile behind t.ppf in scipy
 
     quantile = float(stdtrit(n - 1, (1.0 + confidence) / 2.0))
     half_width = quantile * s.sample_std / math.sqrt(n)

@@ -99,6 +99,10 @@ def test_negative_size_is_malformed(tmp_path):
         ("\n# fps=1e999\n0\n", 2),
         ("  # fps=30\n\t# fps=-2\n0\n", 2),
         ("# fps=30\n-0 I 1\n-3\n", 3),
+        ("# fps=30\n0 I 99999999999999999999\n1 I x\n", 3),
+        ("# fps=30\n-1 I 5\n# fps=inf\n", 2),
+        ("1 I 5\n1 P 5\n# fps=0\n", 2),
+        ("# fps=nan\n0 I x\n", 1),
     ],
 )
 def test_malformed_row_or_directive_line_number(tmp_path, text, line_no):

@@ -45,8 +45,6 @@ from .trace_model import (
     ContentClass,
     FlowInstance,
     FlowRateBounds,
-    FrameRecord,
-    FrameType,
     VideoTrace,
     flow_rate_at,
     parse_trace_file,

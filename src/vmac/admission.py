@@ -78,12 +78,13 @@ class AdmissionDecision:
 
 
 def _decide(
-    measured: float, req: AdmissionRequest, link: LinkConfig,
-    policy: Policy, utilization_target: float,
+    measured: float, req: AdmissionRequest, link: LinkConfig, policy: Policy
 ) -> AdmissionDecision:
-    budget = utilization_target * link.capacity
-    headroom = budget - measured - req.requested_rate
-    verdict = Verdict.ADMIT if measured + req.requested_rate <= budget else Verdict.REJECT
+    headroom = link.capacity - measured - req.requested_rate
+    verdict = (
+        Verdict.ADMIT if measured + req.requested_rate <= link.capacity
+        else Verdict.REJECT
+    )
     return AdmissionDecision(
         verdict=verdict, measured_rate=measured, headroom=headroom, policy=policy
     )
@@ -93,22 +94,15 @@ def decide_instantaneous(
     sample: RateSample,
     req: AdmissionRequest,
     link: LinkConfig,
-    utilization_target: float = 1.0,
 ) -> AdmissionDecision:
-    """Admit iff instantaneous aggregate rate + requested rate <= capacity.
-
-    `utilization_target` scales the capacity budget; the default of 1.0 is
-    the plain capacity comparison, anything else is an extension.
-    """
-    return _decide(sample.instantaneous, req, link, Policy.INSTANTANEOUS,
-                   utilization_target)
+    """Admit iff instantaneous aggregate rate + requested rate <= capacity."""
+    return _decide(sample.instantaneous, req, link, Policy.INSTANTANEOUS)
 
 
 def decide_average(
     sample: RateSample,
     req: AdmissionRequest,
     link: LinkConfig,
-    utilization_target: float = 1.0,
 ) -> AdmissionDecision:
     """Admit iff windowed average aggregate rate + requested rate <= capacity."""
-    return _decide(sample.average, req, link, Policy.AVERAGE, utilization_target)
+    return _decide(sample.average, req, link, Policy.AVERAGE)

@@ -318,7 +318,10 @@ def content_library(
     fps: float = 30.0,
 ) -> tuple[VideoTrace, ...]:
     """Synthetic per-class library: sports-like traces swing hard between
-    near-silence and full rate, news-like traces barely move."""
+    near-silence and full rate, news-like traces barely move.  Only news
+    and sports are synthesised; any other class is a ValueError."""
+    if content_class not in (ContentClass.NEWS, ContentClass.SPORTS):
+        raise ValueError(f"no synthetic recipe for content class {content_class}")
     rng = np.random.Generator(np.random.PCG64(seed))
     traces = []
     for i in range(n_traces):
@@ -334,19 +337,11 @@ def content_library(
                     noise=0.04, trace_id=name, content_class=content_class,
                 )
             )
-        elif content_class is ContentClass.NEWS:
+        else:
             traces.append(
                 synth_onoff_trace(
                     length, fps, child, base, noise=0.05,
                     trace_id=name, content_class=content_class,
-                )
-            )
-        else:
-            traces.append(
-                synth_onoff_trace(
-                    length, fps, child, base,
-                    dip_prob=0.05, dip_factor=0.3,
-                    noise=0.05, trace_id=name, content_class=content_class,
                 )
             )
     return tuple(traces)

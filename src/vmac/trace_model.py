@@ -19,8 +19,8 @@ or B is unknown.  Indices must increase strictly.  A line whose first
 non-blank character is ``#`` is a comment; the optional ``# fps=`` and
 ``# class=`` directives set the frame rate and content class.
 
-A parsed trace is held as columns (`VideoTrace.sizes`, `.frame_types`,
-`.indices`); `VideoTrace.frames` builds per-frame records on demand.
+A parsed trace is held as columns: `VideoTrace.sizes`, `.frame_types` and
+`.indices`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -42,14 +40,7 @@ MBPS = 1_000_000.0
 INT64_MAX = 2 ** 63 - 1
 
 
-class FrameType(enum.Enum):
-    I = "I"
-    P = "P"
-    B = "B"
-    UNKNOWN = "?"
-
-
-_TYPE_CHARS = {t.value for t in FrameType}
+_TYPE_CHARS = "IPB?"
 
 
 class ContentClass(enum.Enum):
@@ -58,19 +49,6 @@ class ContentClass(enum.Enum):
     MOVIE = "movie"
     DEMO = "demo"
     UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    index: int
-    frame_type: FrameType
-    size: int  # bytes
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"frame index must be >= 0, got {self.index}")
-        if self.size < 0:
-            raise ValueError(f"frame size must be >= 0, got {self.size}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +84,7 @@ class VideoTrace:
         if not (self.fps > 0 and math.isfinite(self.fps)):
             raise ValueError(f"fps must be a positive real, got {self.fps}")
         frame_types = "?" * n if self.frame_types is None else "".join(self.frame_types)
-        if len(frame_types) != n or not set(frame_types) <= _TYPE_CHARS:
+        if len(frame_types) != n or not set(frame_types).issubset(_TYPE_CHARS):
             raise ValueError(
                 f"trace {self.id}: need one frame type of 'IPB?' per frame"
             )
@@ -156,15 +134,6 @@ class VideoTrace:
 
     def __len__(self) -> int:
         return len(self.sizes)
-
-    @property
-    def frames(self) -> tuple[FrameRecord, ...]:
-        """The frames as records, built on each access."""
-        columns = zip(self.indices.tolist(), self.frame_types, self.sizes.tolist())
-        return tuple(
-            FrameRecord(index=i, frame_type=FrameType(t), size=s)
-            for i, t, s in columns
-        )
 
     def size_at(self, slot: int) -> int:
         """Byte size of the frame occupying `slot` (wrapping)."""
@@ -243,115 +212,66 @@ def _fps_directive(directive: str) -> Optional[float]:
     return fps if fps > 0 and math.isfinite(fps) else None
 
 
-def _split_comments(text: str) -> tuple[list[str], str]:
-    """The comment lines of `text`, those whose first non-blank character is
-    '#', stripped; and `text` with each of them emptied."""
-    comments, pieces, done = [], [], 0
-    pos = text.find("#")
-    while pos >= 0:
-        start = text.rfind("\n", 0, pos) + 1
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        if not text[start:pos].strip():
-            comments.append(text[start:end].strip())
-            pieces.append(text[done:start])
-            done = end
-        pos = text.find("#", end)
-    pieces.append(text[done:])
-    return comments, "".join(pieces)
-
-
-def _data_row(parts: list[str], ordinal: int) -> tuple[int, str, int]:
-    """(index, type char, size) of one data row split into tokens; a
-    1-column row is a frame of unknown type numbered by its `ordinal`.
-    ValueError if the row has another width or a token is not an integer."""
-    if len(parts) == 1:
-        return ordinal, "?", int(parts[0])
-    if len(parts) == 3:
-        return int(parts[0]), _TYPE_OF_TOKEN.get(parts[1], "?"), int(parts[2])
-    raise ValueError(f"{len(parts)} columns")
-
-
-def _columns(body: str) -> tuple[list[int], str, list[int]]:
-    """Index, frame-type and size columns of the data rows of `body`, which
-    holds no comment lines.  ValueError if a row is malformed."""
-    rows = list(filter(None, map(str.split, body.split("\n"))))
-    if set(map(len, rows)) != {3}:
-        rows = [_data_row(parts, k) for k, parts in enumerate(rows)]
-    indices = list(map(int, map(itemgetter(0), rows)))
-    types = "".join(map(_TYPE_OF_TOKEN.get, map(itemgetter(1), rows), repeat("?")))
-    sizes = list(map(int, map(itemgetter(2), rows)))
-    return indices, types, sizes
-
-
-def _first_malformed_line(path, text: str) -> Optional[MalformedLine]:
-    """The first line of `text`, in file order, that breaks the trace
-    format: a bad ``fps=`` directive, a row that is not 1 or 3 integer
-    columns, a negative size, or an index that is not above the previous
-    one or is beyond int64.  None if every line is well formed."""
-    ordinal, prev = 0, -1
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            directive = line[1:].strip()
-            if directive.startswith("fps=") and _fps_directive(directive) is None:
-                return MalformedLine(path, line_no, line)
-            continue
-        try:
-            index, _, size = _data_row(line.split(), ordinal)
-        except ValueError:
-            return MalformedLine(path, line_no, line)
-        if size < 0 or not prev < index <= INT64_MAX:
-            return MalformedLine(path, line_no, line)
-        prev, ordinal = index, ordinal + 1
-    return None
-
-
 def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
     """Parse a frame-size trace file.
 
     The in-file ``# fps=`` directive wins over `fps_override`; if neither is
-    present, MissingFps is raised.  A line that breaks the format raises
-    MalformedLine with its line number.
-
-    The file is read whole and its columns converted in one pass; only when
-    that fails is it scanned line by line to find the offending line.
+    present, MissingFps is raised.  Lines are read once, in file order, and
+    the first one that breaks the format raises MalformedLine with its line
+    number: a bad ``fps=`` directive, a row that is not 1 or 3 integer
+    columns, a negative size, or an index that is not above the previous
+    one or is beyond int64.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     fps: Optional[float] = None
     content_class = ContentClass.UNKNOWN
-    comments, body = _split_comments(text)
-    for comment in comments:
-        directive = comment[1:].strip()
-        if directive.startswith("fps="):
-            fps = _fps_directive(directive)
-            if fps is None:
-                raise _first_malformed_line(path, text)
-        elif directive.startswith("class="):
-            name = directive[6:].strip().lower()
-            content_class = _CLASS_ALIASES.get(name, ContentClass.UNKNOWN)
-    try:
-        indices, types, sizes = _columns(body)
-        if not sizes:
-            raise EmptyTrace(path)
-        if fps is None:
-            fps = fps_override
-        if fps is None:
-            raise MissingFps(path)
-        return VideoTrace(
-            id=path.stem, sizes=sizes, fps=fps, content_class=content_class,
-            frame_types=types, indices=indices,
-        )
-    except (ValueError, ByteOverflow):
-        # a bad `fps_override` raises ValueError too: no line is to blame,
-        # so it is re-raised as it is
-        malformed = _first_malformed_line(path, text)
-        if malformed is None:
-            raise
-        raise malformed from None
+    indices: list[int] = []
+    types: list[str] = []
+    sizes: list[int] = []
+    prev = -1
+    lines = path.read_text(encoding="utf-8").split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0][0] == "#":
+            directive = line.strip()[1:].strip()
+            if directive.startswith("fps="):
+                fps = _fps_directive(directive)
+                if fps is None:
+                    raise MalformedLine(path, line_no, line.strip())
+            elif directive.startswith("class="):
+                name = directive[6:].strip().lower()
+                content_class = _CLASS_ALIASES.get(name, ContentClass.UNKNOWN)
+            continue
+        try:
+            if len(parts) == 3:
+                index, size = int(parts[0]), int(parts[2])
+                frame_type = _TYPE_OF_TOKEN.get(parts[1], "?")
+            elif len(parts) == 1:
+                index, frame_type, size = len(sizes), "?", int(parts[0])
+            else:
+                raise ValueError(f"{len(parts)} columns")
+        except ValueError:
+            raise MalformedLine(path, line_no, line.strip()) from None
+        if size < 0 or not prev < index <= INT64_MAX:
+            raise MalformedLine(path, line_no, line.strip())
+        indices.append(index)
+        types.append(frame_type)
+        sizes.append(size)
+        prev = index
+    if not sizes:
+        raise EmptyTrace(path)
+    if fps is None:
+        fps = fps_override
+    if fps is None:
+        raise MissingFps(path)
+    # a size beyond int64 raises ByteOverflow here, a bad `fps_override`
+    # ValueError: neither is the fault of one line
+    return VideoTrace(
+        id=path.stem, sizes=sizes, fps=fps, content_class=content_class,
+        frame_types=types, indices=indices,
+    )
 
 
 def serialize_trace(trace: VideoTrace, path) -> None:

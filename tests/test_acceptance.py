@@ -8,6 +8,7 @@ sweep master seeds 1 through 10.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -347,7 +348,8 @@ def test_criterion_7_closed_form_spot_checks():
 
 def test_criterion_8_cli_determinism(tmp_path):
     """Every CLI command run twice with identical flags writes byte-identical
-    output, including with internal parallelism enabled."""
+    output.  Runs are serial: `--workers 4` has no effect, and its output
+    must equal the default's."""
     bursty = str(TRACES_DIR / "bursty")
     content = str(TRACES_DIR / "content")
     commands = {
@@ -371,12 +373,14 @@ def test_criterion_8_cli_determinism(tmp_path):
     all_identical = True
     serial_equals_parallel = None
     outputs = {}
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     for name, argv in commands.items():
         files = []
         for attempt in ("first", "second"):
             out = tmp_path / f"{name}-{attempt}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "vmac.cli", *argv, "--out", str(out)],
+                env=env,
                 capture_output=True,
                 text=True,
             )

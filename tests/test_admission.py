@@ -70,16 +70,6 @@ def test_policies_split_when_average_below_instantaneous():
     assert decide_instantaneous(s, req, LINK).verdict is Verdict.REJECT
 
 
-def test_utilization_target_scales_budget():
-    req = AdmissionRequest(8 * MBPS)
-    s = sample(90, 90)
-    assert decide_average(s, req, LINK).verdict is Verdict.ADMIT
-    assert (
-        decide_average(s, req, LINK, utilization_target=0.9).verdict
-        is Verdict.REJECT
-    )
-
-
 def test_request_validation():
     with pytest.raises(ValueError):
         AdmissionRequest(0.0)

@@ -94,8 +94,9 @@ def test_ingest_malformed_line(tmp_path, capsys):
         ("# fps=inf\n100\n", 1),
         ("# fps=30\n0 I 100\n0 P 50\n", 3),
         ("# fps=30\n-1 I 100\n", 2),
+        ("0 I 5\n3 P 7\n2 B 1\n", 3),
     ],
-    ids=["fps-inf", "duplicate-index", "negative-index"],
+    ids=["fps-inf", "duplicate-index", "negative-index", "decreasing-index-no-fps"],
 )
 def test_ingest_bad_trace_data_is_data_error(tmp_path, capsys, text, line_no):
     p = tmp_path / "bad.txt"

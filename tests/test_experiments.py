@@ -193,6 +193,14 @@ def test_content_class_missing(bursty_lib):
         run_content_comparison(cfg, (ContentClass.NEWS,), (5,))
 
 
+@pytest.mark.parametrize(
+    "content_class", [ContentClass.MOVIE, ContentClass.DEMO, ContentClass.UNKNOWN]
+)
+def test_content_library_rejects_class_without_recipe(content_class):
+    with pytest.raises(ValueError, match="no synthetic recipe"):
+        content_library(7, content_class)
+
+
 def test_content_comparison_shape():
     lib = content_library(7, ContentClass.NEWS) + content_library(
         8, ContentClass.SPORTS

@@ -26,7 +26,6 @@ from vmac.trace_model import (
     ContentClass,
     FlowInstance,
     FlowRateBounds,
-    FrameType,
     VideoTrace,
     flow_rate_at,
     parse_trace_file,
@@ -62,10 +61,9 @@ def test_parse_three_column_format(tmp_path):
     p.write_text("# fps=30\n# class=sports\n0 I 12000\n1 P 4000\n2 B 2000\n")
     trace = parse_trace_file(p)
     assert trace.content_class is ContentClass.SPORTS
-    assert [f.frame_type for f in trace.frames] == [
-        FrameType.I, FrameType.P, FrameType.B,
-    ]
-    assert [f.size for f in trace.frames] == [12000, 4000, 2000]
+    assert (trace.indices.tolist(), trace.frame_types, trace.sizes.tolist()) == (
+        [0, 1, 2], "IPB", [12000, 4000, 2000],
+    )
 
 
 def test_in_file_fps_wins_over_override(tmp_path):
@@ -103,6 +101,7 @@ def test_negative_size_is_malformed(tmp_path):
         ("# fps=30\n-1 I 5\n# fps=inf\n", 2),
         ("1 I 5\n1 P 5\n# fps=0\n", 2),
         ("# fps=nan\n0 I x\n", 1),
+        ("0 I 5\n3 P 7\n2 B 1\n", 3),
     ],
 )
 def test_malformed_row_or_directive_line_number(tmp_path, text, line_no):
@@ -300,7 +299,7 @@ def test_flow_offset_validation():
 
 # -- columnar traces ---------------------------------------------------------------
 
-def test_columns_are_read_only_and_frames_built_on_demand():
+def test_columns_are_read_only():
     trace = VideoTrace(
         id="t", sizes=[7, 0, 9], fps=30.0, frame_types="IB?", indices=[2, 5, 6]
     )
@@ -309,9 +308,9 @@ def test_columns_are_read_only_and_frames_built_on_demand():
         trace.sizes[0] = 1
     with pytest.raises(ValueError):
         trace.indices[0] = 1
-    assert [(f.index, f.frame_type, f.size) for f in trace.frames] == [
-        (2, FrameType.I, 7), (5, FrameType.B, 0), (6, FrameType.UNKNOWN, 9),
-    ]
+    assert (trace.indices.tolist(), trace.frame_types, trace.sizes.tolist()) == (
+        [2, 5, 6], "IB?", [7, 0, 9],
+    )
     plain = VideoTrace(id="t", sizes=[7, 0, 9], fps=30.0)
     assert plain.frame_types == "???"
     assert plain.indices.tolist() == [0, 1, 2]

@@ -63,8 +63,8 @@ def parsed_digest(path) -> str:
     h = hashlib.sha256()
     h.update(f"{trace.id}\0{trace.fps!r}\0{trace.content_class.value}\0".encode())
     h.update(np.asarray(trace.sizes, dtype="<i8").tobytes())
-    h.update("".join(f.frame_type.value for f in trace.frames).encode())
-    h.update(np.array([f.index for f in trace.frames], dtype="<i8").tobytes())
+    h.update(trace.frame_types.encode())
+    h.update(np.asarray(trace.indices, dtype="<i8").tobytes())
     return h.hexdigest()
 
 

@@ -1,7 +1,7 @@
 """Instantaneous and windowed-average aggregate rate computation."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmac.errors import MixedFps, WindowOutOfRange
@@ -140,3 +140,56 @@ def test_linearity_under_size_doubling(sizes, end):
     assert average_aggregate_rate([doubled], window) == pytest.approx(
         2 * average_aggregate_rate([base], window)
     )
+
+
+@st.composite
+def flow_sets(draw):
+    """Flows over traces of mixed lengths at one shared fps, with any start
+    offset, and a window from 1 slot to beyond twice the shortest trace,
+    often an exact multiple of one flow's trace length."""
+    fps = draw(st.sampled_from([1.0, 24.0, 29.97, 30.0]))
+    library = [
+        make_trace(sizes, fps=fps, trace_id=f"t{i}")
+        for i, sizes in enumerate(draw(st.lists(
+            st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=12),
+            min_size=1, max_size=4,
+        )))
+    ]
+    flows = [
+        FlowInstance(trace=library[t % len(library)],
+                     start_offset=o % len(library[t % len(library)]))
+        for t, o in draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 10 ** 6)),
+            min_size=1, max_size=8,
+        ))
+    ]
+    shortest = min(len(f.trace) for f in flows)
+    w = draw(st.one_of(
+        st.integers(1, 2 * shortest + 3),
+        st.builds(lambda f, k: k * len(f.trace),
+                  st.sampled_from(flows), st.integers(1, 3)),
+    ))
+    end = w - 1 + draw(st.integers(0, 60))
+    return flows, MeasurementWindow(end, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flow_sets())
+def test_rate_sample_equals_per_quantity_rates(case):
+    flows, window = case
+    sample = rate_sample(flows, window)
+    assert sample.instantaneous == instantaneous_aggregate_rate(flows, window.end_slot)
+    assert sample.average == average_aggregate_rate(flows, window)
+    assert sample.window == window
+
+
+def test_rate_sample_of_no_flows_is_zero():
+    sample = rate_sample([], MeasurementWindow(7, 3))
+    assert (sample.instantaneous, sample.average) == (0.0, 0.0)
+
+
+def test_rate_sample_rejects_mixed_fps():
+    flows = [mbps_flow([1.0], fps=30.0), mbps_flow([1.0], fps=30.0),
+             mbps_flow([1.0], fps=25.0)]
+    with pytest.raises(MixedFps):
+        rate_sample(flows, MeasurementWindow(0, 1))

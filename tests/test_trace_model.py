@@ -1,7 +1,9 @@
 """Trace parsing, synthesis and per-flow rate lookup."""
 
+import copy
 import io
 import math
+import pickle
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -20,6 +22,7 @@ from vmac.errors import (
     MissingFps,
     TraceError,
 )
+from vmac.rate_engine import MeasurementWindow, rate_sample
 from vmac.trace_model import (
     BITS_PER_BYTE,
     MBPS,
@@ -325,6 +328,22 @@ def test_equality_and_hash_by_value():
     assert a != VideoTrace(id="t", sizes=[1, 2], fps=30.0, frame_types="IB")
     assert a != VideoTrace(id="t", sizes=[1, 2], fps=30.0, frame_types="IP",
                            indices=[0, 2])
+
+
+def test_pickle_and_deepcopy_round_trip():
+    trace = VideoTrace(
+        id="t", sizes=[7, 0, 9, 4], fps=25.0, content_class=ContentClass.NEWS,
+        frame_types="IB?P", indices=[2, 5, 6, 10],
+    )
+    flows = [FlowInstance(trace=trace, start_offset=3),
+             FlowInstance(trace=trace, start_offset=1)]
+    window = MeasurementWindow(9, 6)
+    for clone in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert clone == trace and hash(clone) == hash(trace)
+        assert clone.window_bytes(3, 9) == trace.window_bytes(3, 9)
+        clone_flows = [FlowInstance(trace=clone, start_offset=f.start_offset)
+                       for f in flows]
+        assert rate_sample(clone_flows, window) == rate_sample(flows, window)
 
 
 @pytest.mark.parametrize(

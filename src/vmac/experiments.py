@@ -131,7 +131,7 @@ def _cum2_stack(library):
     lengths = np.array([len(t) for t in library], dtype=np.int64)
     stack = np.zeros((len(library), 2 * lengths.max() + 1), dtype=np.int64)
     for row, trace in zip(stack, library):
-        row[:len(trace._cum2)] = trace._cum2
+        row[:len(trace._cum2)] = np.asarray(trace._cum2)
     return stack, lengths
 
 
@@ -200,8 +200,8 @@ def run_rate_timeseries(
     inst, avg = aggregate_rate_series(flows, w, duration_slots)
     return TimeSeriesResult(
         slots=tuple(range(w - 1, duration_slots)),
-        instantaneous=tuple(float(x) for x in inst),
-        average=tuple(float(x) for x in avg),
+        instantaneous=tuple(inst.tolist()),
+        average=tuple(avg.tolist()),
     )
 
 

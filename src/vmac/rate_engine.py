@@ -107,9 +107,27 @@ def aggregate_rate_series(
 
 def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> RateSample:
     """Measure both rates at a decision instant: the instantaneous rate at the
-    window's final slot and the average over the window."""
+    window's final slot and the average over the window.
+
+    One pass over the flows, three lookups each into the trace's doubled
+    prefix sum; the bytes and rates equal `instantaneous_aggregate_rate` and
+    `average_aggregate_rate` exactly, for any window length.
+    """
+    fps = _shared_fps(flows) if flows else 0.0
+    w = window.length_slots
+    first = window.start_slot
+    inst = win = 0
+    for f in flows:
+        c = f.trace._cum2
+        n = len(c) >> 1  # the trace length
+        # the window is `whole` full periods plus `last + 1` slots from s
+        whole, last = divmod(w - 1, n)
+        s = (f.start_offset + first) % n
+        hi = c[s + last + 1]
+        win += whole * c[n] + hi - c[s]
+        inst += hi - c[s + last]
     return RateSample(
-        instantaneous=instantaneous_aggregate_rate(flows, window.end_slot),
-        average=average_aggregate_rate(flows, window),
+        instantaneous=inst * BITS_PER_BYTE * fps,
+        average=win * BITS_PER_BYTE / w * fps,
         window=window,
     )

@@ -46,11 +46,15 @@ def summarize(series: Sequence[float]) -> SeriesSummary:
 
 
 def peak_to_mean(series: Sequence[float]) -> float:
-    """max/mean of a series; >= 1 for non-negative series, 1 for constant."""
-    s = summarize(series)
-    if s.mean <= 0:
-        raise ZeroMean(f"peak-to-mean needs a positive mean, got {s.mean}")
-    return s.peak / s.mean
+    """max/mean of a series; >= 1 for non-negative series, 1 for constant.
+
+    The same mean and peak as `summarize`, without its variance pass."""
+    if not series:
+        raise TooShort("cannot summarize an empty series")
+    mean = math.fsum(series) / len(series)
+    if mean <= 0:
+        raise ZeroMean(f"peak-to-mean needs a positive mean, got {mean}")
+    return max(series) / mean
 
 
 def coefficient_of_variation(series: Sequence[float]) -> float:

@@ -58,7 +58,8 @@ class VideoTrace:
     `sizes` (bytes per frame) and `indices` are read-only int64 arrays and
     `frame_types` holds one character of "IPB?" per frame.  Without
     `indices` the frames are numbered 0, 1, 2, ...; without `frame_types`
-    every type is unknown ("?").  Equality and hashing are by value.
+    every type is unknown ("?").  Equality and hashing are by value; a copy
+    or an unpickled trace is rebuilt from the columns.
     """
 
     id: str
@@ -68,8 +69,9 @@ class VideoTrace:
     frame_types: Optional[str] = field(default=None, repr=False)
     indices: Optional[np.ndarray] = field(default=None, repr=False)
 
-    # doubled prefix sum of `sizes` for O(1) wrapped window sums
-    _cum2: np.ndarray = field(init=False, repr=False)
+    # doubled prefix sum of `sizes` for O(1) wrapped window sums, as a
+    # read-only int64 memoryview: indexing it gives Python ints
+    _cum2: memoryview = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -111,10 +113,19 @@ class VideoTrace:
             raise ByteOverflow(f"trace {self.id}: window sums would exceed int64")
         cum2 = np.zeros(2 * n + 1, dtype=np.int64)
         np.cumsum(np.concatenate([sizes, sizes]), out=cum2[1:])
-        for name, value in (("sizes", sizes), ("indices", indices), ("_cum2", cum2)):
-            value.flags.writeable = False
+        for column in (sizes, indices, cum2):
+            column.flags.writeable = False
+        for name, value in (
+            ("sizes", sizes), ("indices", indices), ("_cum2", memoryview(cum2)),
+            ("frame_types", frame_types),
+        ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "frame_types", frame_types)
+
+    def __reduce__(self):
+        return VideoTrace, (
+            self.id, self.sizes, self.fps, self.content_class,
+            self.frame_types, self.indices,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, VideoTrace):

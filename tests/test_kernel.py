@@ -1,5 +1,7 @@
 """Batched Monte Carlo kernel, scenario drawer and rate-series helper,
-checked against the per-decision reference in `rate_engine`."""
+checked against the per-quantity reference in `rate_engine`:
+`instantaneous_aggregate_rate` and `average_aggregate_rate`, which sum each
+flow's bytes independently of the one-pass `rate_sample`."""
 
 import numpy as np
 import pytest
@@ -16,7 +18,12 @@ from vmac.experiments import (
     draw_scenarios,
     run_probability_sweep,
 )
-from vmac.rate_engine import MeasurementWindow, aggregate_rate_series, rate_sample
+from vmac.rate_engine import (
+    MeasurementWindow,
+    aggregate_rate_series,
+    average_aggregate_rate,
+    instantaneous_aggregate_rate,
+)
 from vmac.trace_model import FlowInstance
 
 from .conftest import make_trace
@@ -49,17 +56,19 @@ def scenario_flows(library, tr_row, offs_row):
     runs=st.integers(1, 25),
     seed=st.integers(0, 2 ** 32),
 )
-def test_batched_runs_match_rate_sample(library, n, w_frac, runs, seed):
+def test_batched_runs_match_per_quantity_rates(library, n, w_frac, runs, seed):
     shortest = min(len(t) for t in library)
     w = 1 + int(w_frac * (shortest - 1))
     tr, offs, ends = draw_scenarios(rng(seed), library, n, w, runs)
     win, inst = _window_bytes(_cum2_stack(library), w, tr, offs, ends)
     for r in range(runs):
         flows = scenario_flows(library, tr[r], offs[r])
-        sample = rate_sample(flows, MeasurementWindow(int(ends[r]), w))
-        assert inst[r] * 8 * 30.0 == sample.instantaneous
-        assert win[r] * 8 / w * 30.0 == sample.average
-        assert (win[r] < w * inst[r]) == (sample.average < sample.instantaneous)
+        window = MeasurementWindow(int(ends[r]), w)
+        instantaneous = instantaneous_aggregate_rate(flows, window.end_slot)
+        average = average_aggregate_rate(flows, window)
+        assert inst[r] * 8 * 30.0 == instantaneous
+        assert win[r] * 8 / w * 30.0 == average
+        assert (win[r] < w * inst[r]) == (average < instantaneous)
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,7 +79,9 @@ def test_batched_runs_match_rate_sample(library, n, w_frac, runs, seed):
     w_frac=st.floats(0.0, 1.0),
     extra=st.integers(0, 80),
 )
-def test_rate_series_matches_rate_sample_at_every_slot(library, picks, w_frac, extra):
+def test_rate_series_matches_per_quantity_rates_at_every_slot(
+    library, picks, w_frac, extra
+):
     flows = [
         FlowInstance(
             trace=library[t % len(library)],
@@ -84,9 +95,10 @@ def test_rate_series_matches_rate_sample_at_every_slot(library, picks, w_frac, e
     inst, avg = aggregate_rate_series(flows, w, n_slots)
     assert len(inst) == len(avg) == n_slots - w + 1
     for end in range(w - 1, n_slots):
-        sample = rate_sample(flows, MeasurementWindow(end, w))
-        assert inst[end - w + 1] == sample.instantaneous
-        assert avg[end - w + 1] == sample.average
+        assert inst[end - w + 1] == instantaneous_aggregate_rate(flows, end)
+        assert avg[end - w + 1] == average_aggregate_rate(
+            flows, MeasurementWindow(end, w)
+        )
 
 
 def test_rate_series_of_no_flows_is_zero():

@@ -45,6 +45,12 @@ def test_pmr_at_least_one(series):
     assert peak_to_mean(series) >= 1.0 - 1e-12
 
 
+@given(st.lists(st.floats(0.0, 1e9), min_size=1).filter(lambda s: sum(s) > 0))
+def test_pmr_is_peak_over_mean_of_summary(series):
+    s = summarize(series)
+    assert peak_to_mean(series) == s.peak / s.mean
+
+
 # -- coefficient of variation -----------------------------------------------------
 
 def test_cov_constant_series():

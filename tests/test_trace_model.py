@@ -311,6 +311,8 @@ def test_columns_are_read_only():
         trace.sizes[0] = 1
     with pytest.raises(ValueError):
         trace.indices[0] = 1
+    with pytest.raises(TypeError):
+        trace._cum2[0] = 1
     assert (trace.indices.tolist(), trace.frame_types, trace.sizes.tolist()) == (
         [2, 5, 6], "IB?", [7, 0, 9],
     )
@@ -340,6 +342,7 @@ def test_pickle_and_deepcopy_round_trip():
     window = MeasurementWindow(9, 6)
     for clone in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
         assert clone == trace and hash(clone) == hash(trace)
+        assert not (clone.sizes.flags.writeable or clone.indices.flags.writeable)
         assert clone.window_bytes(3, 9) == trace.window_bytes(3, 9)
         clone_flows = [FlowInstance(trace=clone, start_offset=f.start_offset)
                        for f in flows]

@@ -17,7 +17,8 @@ Lines are either ``<size_bytes>`` or ``<index> <type-char> <size_bytes>``;
 a 1-column line's index is its frame's ordinal, and a type other than I, P
 or B is unknown.  Indices must increase strictly.  A line whose first
 non-blank character is ``#`` is a comment; the optional ``# fps=`` and
-``# class=`` directives set the frame rate and content class.
+``# class=`` directives set the frame rate and content class, with or
+without spaces around the ``=``.
 
 A parsed trace is held as columns: `VideoTrace.sizes`, `.frame_types` and
 `.indices`.
@@ -213,11 +214,11 @@ _CLASS_ALIASES = {c.value: c for c in ContentClass}
 _TYPE_OF_TOKEN = {"I": "I", "P": "P", "B": "B"}
 
 
-def _fps_directive(directive: str) -> Optional[float]:
-    """The frame rate an ``fps=`` directive sets, or None if it is not a
-    positive finite number."""
+def _fps_directive(value: str) -> Optional[float]:
+    """The frame rate an ``fps=`` directive's value sets, or None if it is
+    not a positive finite number."""
     try:
-        fps = float(directive[4:])
+        fps = float(value)
     except ValueError:
         return None
     return fps if fps > 0 and math.isfinite(fps) else None
@@ -246,13 +247,14 @@ def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
         if not parts:
             continue
         if parts[0][0] == "#":
-            directive = line.strip()[1:].strip()
-            if directive.startswith("fps="):
-                fps = _fps_directive(directive)
+            key, eq, value = line.strip()[1:].partition("=")
+            key = key.strip() if eq else None
+            if key == "fps":
+                fps = _fps_directive(value)
                 if fps is None:
                     raise MalformedLine(path, line_no, line.strip())
-            elif directive.startswith("class="):
-                name = directive[6:].strip().lower()
+            elif key == "class":
+                name = value.strip().lower()
                 content_class = _CLASS_ALIASES.get(name, ContentClass.UNKNOWN)
             continue
         try:

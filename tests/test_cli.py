@@ -75,6 +75,15 @@ def test_ingest_reports_class(traces_dir, capsys):
     assert "class=news" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [[], ["--fps", "30"]])
+def test_ingest_spaced_directives(tmp_path, capsys, argv):
+    p = tmp_path / "t.txt"
+    p.write_text("# fps = 25\n# class = sports\n1000\n2000\n")
+    assert main(["ingest", str(p), *argv]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "fps=25" in out and "class=sports" in out
+
+
 def test_ingest_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert main(["ingest", str(missing)]) == EXIT_DATA
@@ -95,8 +104,10 @@ def test_ingest_malformed_line(tmp_path, capsys):
         ("# fps=30\n0 I 100\n0 P 50\n", 3),
         ("# fps=30\n-1 I 100\n", 2),
         ("0 I 5\n3 P 7\n2 B 1\n", 3),
+        ("100\n# fps = inf\n", 2),
     ],
-    ids=["fps-inf", "duplicate-index", "negative-index", "decreasing-index-no-fps"],
+    ids=["fps-inf", "duplicate-index", "negative-index", "decreasing-index-no-fps",
+         "spaced-fps-inf"],
 )
 def test_ingest_bad_trace_data_is_data_error(tmp_path, capsys, text, line_no):
     p = tmp_path / "bad.txt"

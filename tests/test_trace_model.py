@@ -69,6 +69,30 @@ def test_parse_three_column_format(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "fps_line, class_line",
+    [
+        ("# fps = 25", "# class = sports"),
+        ("#fps =25", "#class= Sports"),
+        ("  #\tfps\t=\t25 ", "# class =sports"),
+    ],
+)
+def test_directives_allow_spaces_around_equals(tmp_path, fps_line, class_line):
+    p = tmp_path / "t.txt"
+    p.write_text(f"{fps_line}\n{class_line}\n0 I 100\n")
+    trace = parse_trace_file(p, fps_override=30)
+    assert (trace.fps, trace.content_class) == (25.0, ContentClass.SPORTS)
+
+
+@pytest.mark.parametrize("line", ["# fps", "# fps 25", "# fpsx = 25", "# note fps = 25",
+                                  "# class", "# classes = sports"])
+def test_directive_needs_its_key_and_equals(tmp_path, line):
+    p = tmp_path / "t.txt"
+    p.write_text(f"{line}\n# class=news\n{line}\n100\n")
+    trace = parse_trace_file(p, fps_override=30)
+    assert (trace.fps, trace.content_class) == (30.0, ContentClass.NEWS)
+
+
 def test_in_file_fps_wins_over_override(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("# fps=25\n100\n")
@@ -105,6 +129,8 @@ def test_negative_size_is_malformed(tmp_path):
         ("1 I 5\n1 P 5\n# fps=0\n", 2),
         ("# fps=nan\n0 I x\n", 1),
         ("0 I 5\n3 P 7\n2 B 1\n", 3),
+        ("# fps = 30\n0 I 5\n# fps = inf\n", 3),
+        ("# fps = \n0 I 5\n", 1),
     ],
 )
 def test_malformed_row_or_directive_line_number(tmp_path, text, line_no):

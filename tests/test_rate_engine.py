@@ -45,6 +45,8 @@ def test_mixed_fps_rejected():
         instantaneous_aggregate_rate(flows, 0)
     with pytest.raises(MixedFps):
         average_aggregate_rate(flows, MeasurementWindow(0, 1))
+    with pytest.raises(MixedFps):
+        rate_sample(flows, MeasurementWindow(0, 1))
 
 
 def test_average_of_ramp():
@@ -186,10 +188,3 @@ def test_rate_sample_equals_per_quantity_rates(case):
 def test_rate_sample_of_no_flows_is_zero():
     sample = rate_sample([], MeasurementWindow(7, 3))
     assert (sample.instantaneous, sample.average) == (0.0, 0.0)
-
-
-def test_rate_sample_rejects_mixed_fps():
-    flows = [mbps_flow([1.0], fps=30.0), mbps_flow([1.0], fps=30.0),
-             mbps_flow([1.0], fps=25.0)]
-    with pytest.raises(MixedFps):
-        rate_sample(flows, MeasurementWindow(0, 1))

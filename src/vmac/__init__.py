@@ -46,7 +46,6 @@ from .trace_model import (
     FlowInstance,
     FlowRateBounds,
     VideoTrace,
-    flow_rate_at,
     parse_trace_file,
     serialize_trace,
     synth_bounded_trace,

@@ -14,18 +14,15 @@ supplies the master seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import admission, bounds, experiments
 from .errors import VmacError
 from .rate_engine import MeasurementWindow, rate_sample
-from .trace_model import MBPS, ContentClass, FlowInstance, FlowRateBounds, parse_trace_file
+from .trace_model import MBPS, ContentClass, FlowRateBounds, parse_trace_file
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -59,14 +56,6 @@ def write_csv(table: OutputTable, path) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def read_csv(path) -> OutputTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = tuple(lines[0].split(","))
-    rows = tuple(tuple(line.split(",")) for line in lines[1:])
-    return OutputTable(header=header, rows=rows)
-
-
 def _load_library(traces_dir, fps_override=None):
     directory = Path(traces_dir)
     if not directory.is_dir():
@@ -77,8 +66,15 @@ def _load_library(traces_dir, fps_override=None):
     return tuple(parse_trace_file(p, fps_override) for p in paths)
 
 
-def _parse_counts(text: str) -> tuple[int, ...]:
-    """Flow counts as 'a:b:step' (inclusive) or a comma list."""
+def _flow_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"--flows must be >= 1, got {n}")
+    return n
+
+
+def _parse_counts(text: str, flag: str) -> tuple[int, ...]:
+    """Counts as 'a:b:step' (inclusive) or a comma list, each >= 1."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -86,41 +82,62 @@ def _parse_counts(text: str) -> tuple[int, ...]:
         start, stop, step = (int(p) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError(f"bad range {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
+        counts = tuple(range(start, stop + 1, step))
+    else:
+        counts = tuple(int(p) for p in text.split(","))
+    if min(counts) < 1:
+        raise ValueError(f"{flag} values must be >= 1, got {min(counts)}")
+    return counts
 
 
 def _master_seed(args) -> int:
+    """--seed, else $VMAC_SEED, else 0; it must be >= 0."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("VMAC_SEED")
-    return int(env) if env else 0
+        seed = args.seed
+    else:
+        seed = int(os.environ.get("VMAC_SEED") or 0)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
-def _config(args, library) -> experiments.ExperimentConfig:
+# Flags that several subcommands read, each declared once here; a
+# subcommand adds the ones it reads.
+_FLAGS = {
+    "--traces-dir": dict(required=True, help="directory of *.txt trace files"),
+    "--fps": dict(type=float, help="fps for trace files without an fps directive"),
+    "--flows": dict(required=True, help="flow count >= 1, or a list 'a,b' or "
+                    "range 'a:b:step' where the command takes several"),
+    "--window": dict(type=int, default=5, help="measurement window, slots"),
+    "--seed": dict(type=int, help="master seed >= 0 (default: $VMAC_SEED, else 0)"),
+    "--out": dict(required=True, help="CSV file to write"),
+    "--runs": dict(type=int, default=100, help="runs per repetition"),
+    "--reps": dict(type=int, default=5, help="repetitions, >= 2"),
+    "--confidence": dict(type=float, default=0.95),
+    "--workers": dict(type=int, default=1, help="accepted; has no effect"),
+}
+_LIBRARY = ("--traces-dir", "--fps")
+_SWEEP = ("--runs", "--reps", "--confidence", "--workers")
+
+
+def _config(args, **fields) -> experiments.ExperimentConfig:
+    """Check the seed, load the traces and build the experiment config from
+    `fields` and the subcommand's --window and sweep flags."""
+    seed = _master_seed(args)
+    library = _load_library(args.traces_dir, args.fps)
+    if "window" in args:
+        fields["window_slots"] = args.window
+    if "runs" in args:
+        fields.update(runs_per_rep=args.runs, reps=args.reps,
+                      confidence=args.confidence, workers=args.workers)
     return experiments.ExperimentConfig(
-        trace_library=library,
-        window_slots=args.window,
-        runs_per_rep=args.runs,
-        reps=args.reps,
-        master_seed=_master_seed(args),
-        confidence=args.confidence,
-        workers=args.workers,
+        trace_library=library, master_seed=seed, **fields
     )
 
 
-def _add_common_experiment_flags(p):
-    p.add_argument("--traces-dir", required=True)
-    p.add_argument("--fps", type=float, default=None,
-                   help="fps override for trace files without a directive")
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--confidence", type=float, default=0.95)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--out", required=True)
+def _write_rows(args, header, rows) -> int:
+    write_csv(OutputTable(header=header, rows=tuple(rows)), args.out)
+    return EXIT_OK
 
 
 def _cmd_ingest(args) -> int:
@@ -138,76 +155,54 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_sweep_flows(args) -> int:
-    library = _load_library(args.traces_dir, args.fps)
-    cfg = dataclasses.replace(_config(args, library), flow_counts=_parse_counts(args.flows))
-    result = experiments.run_probability_sweep(cfg)
-    table = OutputTable(
-        header=("flows", "prob_mean", "ci_half_width", "confidence"),
-        rows=tuple(
-            (n, ci.mean, ci.ci_half_width, ci.confidence) for n, ci in result.rows
-        ),
+    counts = _parse_counts(args.flows, "--flows")
+    result = experiments.run_probability_sweep(_config(args, flow_counts=counts))
+    return _write_rows(
+        args, ("flows", "prob_mean", "ci_half_width", "confidence"),
+        ((n, ci.mean, ci.ci_half_width, ci.confidence) for n, ci in result.rows),
     )
-    write_csv(table, args.out)
-    return EXIT_OK
 
 
 def _cmd_timeseries(args) -> int:
-    library = _load_library(args.traces_dir, args.fps)
-    cfg = _config(args, library)
-    ts = experiments.run_rate_timeseries(
-        cfg, args.flows, args.duration, _master_seed(args)
+    n = _flow_count(args.flows)
+    cfg = _config(args)
+    ts = experiments.run_rate_timeseries(cfg, n, args.duration, cfg.master_seed)
+    return _write_rows(
+        args, ("slot", "inst_bps", "avg_bps"),
+        zip(ts.slots, ts.instantaneous, ts.average),
     )
-    table = OutputTable(
-        header=("slot", "inst_bps", "avg_bps"),
-        rows=tuple(zip(ts.slots, ts.instantaneous, ts.average)),
-    )
-    write_csv(table, args.out)
-    return EXIT_OK
 
 
 def _cmd_burstiness(args) -> int:
-    library = _load_library(args.traces_dir, args.fps)
-    cfg = _config(args, library)
-    rows = experiments.run_burstiness_table(
-        cfg, _parse_counts(args.flows), args.duration
+    counts = _parse_counts(args.flows, "--flows")
+    rows = experiments.run_burstiness_table(_config(args), counts, args.duration)
+    return _write_rows(
+        args, ("flows", "rate_kind", "pmr", "cov"),
+        ((r.flow_count, r.rate_kind, r.peak_to_mean, r.cov) for r in rows),
     )
-    table = OutputTable(
-        header=("flows", "rate_kind", "pmr", "cov"),
-        rows=tuple(
-            (r.flow_count, r.rate_kind, r.peak_to_mean, r.cov) for r in rows
-        ),
-    )
-    write_csv(table, args.out)
-    return EXIT_OK
 
 
 def _cmd_sweep_window(args) -> int:
-    library = _load_library(args.traces_dir, args.fps)
-    cfg = _config(args, library)
-    rows = experiments.run_window_sweep(
-        cfg, args.flows, _parse_counts(args.windows)
+    n = _flow_count(args.flows)
+    windows = _parse_counts(args.windows, "--windows")
+    # the sweep reads no config window; the longest listed one is the one
+    # the config checks against the shortest trace
+    cfg = _config(args, window_slots=max(windows))
+    rows = experiments.run_window_sweep(cfg, n, windows)
+    return _write_rows(
+        args, ("window_slots", "prob_mean", "ci_half_width"),
+        ((w, ci.mean, ci.ci_half_width) for w, ci in rows),
     )
-    table = OutputTable(
-        header=("window_slots", "prob_mean", "ci_half_width"),
-        rows=tuple((w, ci.mean, ci.ci_half_width) for w, ci in rows),
-    )
-    write_csv(table, args.out)
-    return EXIT_OK
 
 
 def _cmd_content(args) -> int:
-    library = _load_library(args.traces_dir, args.fps)
-    cfg = _config(args, library)
     classes = tuple(ContentClass(c.strip().lower()) for c in args.classes.split(","))
-    rows = experiments.run_content_comparison(cfg, classes, _parse_counts(args.flows))
-    table = OutputTable(
-        header=("class", "flows", "prob_mean", "ci_half_width"),
-        rows=tuple(
-            (cls.value, n, ci.mean, ci.ci_half_width) for cls, n, ci in rows
-        ),
+    counts = _parse_counts(args.flows, "--flows")
+    rows = experiments.run_content_comparison(_config(args), classes, counts)
+    return _write_rows(
+        args, ("class", "flows", "prob_mean", "ci_half_width"),
+        ((cls.value, n, ci.mean, ci.ci_half_width) for cls, n, ci in rows),
     )
-    write_csv(table, args.out)
-    return EXIT_OK
 
 
 def _cmd_hoeffding(args) -> int:
@@ -225,12 +220,7 @@ def _cmd_hoeffding(args) -> int:
 
 
 def _cmd_admit(args) -> int:
-    library = _load_library(args.traces_dir, args.fps)
-    cfg = experiments.ExperimentConfig(
-        trace_library=library,
-        window_slots=args.window,
-        master_seed=_master_seed(args),
-    )
+    n = _flow_count(args.flows)
     if args.rate is not None:
         req = admission.AdmissionRequest(args.rate * MBPS)
     else:
@@ -238,17 +228,9 @@ def _cmd_admit(args) -> int:
             admission.QualityClass(args.quality)
         )
     link = admission.LinkConfig(link_id="l", capacity=args.capacity * MBPS)
-
-    # one seeded scenario, same composition rule as the experiment runs
-    rng = np.random.Generator(np.random.PCG64(_master_seed(args)))
-    tr, offs, ends = experiments.draw_scenarios(
-        rng, library, args.flows, args.window, 1
-    )
-    flows = [
-        FlowInstance(trace=library[t], start_offset=int(o), flow_id=i)
-        for i, (t, o) in enumerate(zip(tr[0], offs[0]))
-    ]
-    sample = rate_sample(flows, MeasurementWindow(int(ends[0]), args.window))
+    cfg = _config(args)
+    flows, end_slot = experiments.draw_flow_set(cfg, n, cfg.master_seed)
+    sample = rate_sample(flows, MeasurementWindow(end_slot, cfg.window_slots))
     policy = admission.Policy(args.policy)
     if policy is admission.Policy.AVERAGE:
         decision = admission.decide_average(sample, req, link)
@@ -271,60 +253,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse one trace file and print a summary")
+    def subcommand(name, summary, func, *flags):
+        # no abbreviations: 'sweep-window --window' must not mean --windows
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = subcommand("ingest", "parse one trace file and print a summary",
+                   _cmd_ingest, "--fps")
     p.add_argument("path")
-    p.add_argument("--fps", type=float, default=None)
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("sweep-flows", help="probability vs number of flows (CSV)")
-    _add_common_experiment_flags(p)
-    p.add_argument("--flows", required=True,
-                   help="flow counts, e.g. '5:40:5' or '2,5,10'")
-    p.set_defaults(func=_cmd_sweep_flows)
+    subcommand("sweep-flows", "probability vs number of flows (CSV)",
+               _cmd_sweep_flows, *_LIBRARY, "--flows", "--window", "--seed",
+               "--out", *_SWEEP)
 
-    p = sub.add_parser("timeseries", help="rate series for one flow set (CSV)")
-    _add_common_experiment_flags(p)
-    p.add_argument("--flows", type=int, required=True)
+    p = subcommand("timeseries", "rate series for one flow set (CSV)",
+                   _cmd_timeseries, *_LIBRARY, "--flows", "--window", "--seed",
+                   "--out")
     p.add_argument("--duration", type=int, required=True, help="slots")
-    p.set_defaults(func=_cmd_timeseries)
 
-    p = sub.add_parser("burstiness", help="PMR and CoV per flow count (CSV)")
-    _add_common_experiment_flags(p)
-    p.add_argument("--flows", required=True, help="comma list of flow counts")
+    p = subcommand("burstiness", "PMR and CoV per flow count (CSV)",
+                   _cmd_burstiness, *_LIBRARY, "--flows", "--window", "--seed",
+                   "--out")
     p.add_argument("--duration", type=int, default=300, help="slots")
-    p.set_defaults(func=_cmd_burstiness)
 
-    p = sub.add_parser("sweep-window", help="probability vs window length (CSV)")
-    _add_common_experiment_flags(p)
-    p.add_argument("--flows", type=int, required=True)
-    p.add_argument("--windows", required=True, help="comma list of window lengths")
-    p.set_defaults(func=_cmd_sweep_window)
+    p = subcommand("sweep-window", "probability vs window length (CSV)",
+                   _cmd_sweep_window, *_LIBRARY, "--flows", "--seed", "--out",
+                   *_SWEEP)
+    p.add_argument("--windows", required=True,
+                   help="window lengths in slots, a comma list or a:b:step range")
 
-    p = sub.add_parser("content", help="probability per content class (CSV)")
-    _add_common_experiment_flags(p)
+    p = subcommand("content", "probability per content class (CSV)",
+                   _cmd_content, *_LIBRARY, "--flows", "--window", "--seed",
+                   "--out", *_SWEEP)
     p.add_argument("--classes", required=True, help="e.g. 'news,sports'")
-    p.add_argument("--flows", required=True, help="comma list of flow counts")
-    p.set_defaults(func=_cmd_content)
 
-    p = sub.add_parser("hoeffding", help="evaluate the exceedance bound")
+    p = subcommand("hoeffding", "evaluate the exceedance bound", _cmd_hoeffding)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True, help="Mbps")
     p.add_argument("--widths", required=True,
                    help="comma list of per-flow range widths in Mbps")
-    p.set_defaults(func=_cmd_hoeffding)
 
-    p = sub.add_parser("admit", help="one seeded admission decision")
+    p = subcommand("admit", "one seeded admission decision", _cmd_admit,
+                   *_LIBRARY, "--flows", "--window", "--seed")
     p.add_argument("--policy", choices=["avg", "inst"], required=True)
     p.add_argument("--capacity", type=float, required=True, help="Mbps")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--quality", choices=[q.value for q in admission.QualityClass])
     group.add_argument("--rate", type=float, help="explicit requested rate, Mbps")
-    p.add_argument("--traces-dir", required=True)
-    p.add_argument("--fps", type=float, default=None)
-    p.add_argument("--flows", type=int, required=True)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_admit)
 
     return parser
 
@@ -337,7 +315,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (VmacError, FileNotFoundError) as exc:
+    except (VmacError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

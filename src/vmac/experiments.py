@@ -125,6 +125,22 @@ def draw_scenarios(rng, library, n, w, runs):
     return tr, offs, ends
 
 
+def draw_flow_set(
+    cfg: ExperimentConfig, n: int, seed: int
+) -> tuple[list[FlowInstance], int]:
+    """One seeded flow set, drawn as one Monte Carlo run of `draw_scenarios`
+    over `cfg`'s library and window: its `n` flows and the end slot of its
+    decision window."""
+    library = cfg.trace_library
+    rng = np.random.Generator(np.random.PCG64(seed))
+    tr, offs, ends = draw_scenarios(rng, library, n, cfg.window_slots, 1)
+    flows = [
+        FlowInstance(trace=library[t], start_offset=int(o), flow_id=i)
+        for i, (t, o) in enumerate(zip(tr[0], offs[0]))
+    ]
+    return flows, int(ends[0])
+
+
 def _cum2_stack(library):
     """Each trace's doubled prefix sum as one zero-padded row, and the trace
     lengths."""
@@ -191,12 +207,7 @@ def run_rate_timeseries(
         raise InsufficientHistory(
             f"duration of {duration_slots} slots cannot fit a {w}-slot window"
         )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    tr, offs, _ = draw_scenarios(rng, cfg.trace_library, flow_count, w, 1)
-    flows = [
-        FlowInstance(trace=cfg.trace_library[t], start_offset=int(o))
-        for t, o in zip(tr[0], offs[0])
-    ]
+    flows, _ = draw_flow_set(cfg, flow_count, seed)
     inst, avg = aggregate_rate_series(flows, w, duration_slots)
     return TimeSeriesResult(
         slots=tuple(range(w - 1, duration_slots)),

@@ -194,7 +194,7 @@ class FlowRateBounds:
     max_rate: float  # bits/s
 
     def __post_init__(self):
-        if self.min_rate < 0 or self.min_rate > self.max_rate:
+        if not 0 <= self.min_rate <= self.max_rate:
             raise ValueError(
                 f"need 0 <= min_rate <= max_rate, got [{self.min_rate}, {self.max_rate}]"
             )
@@ -202,11 +202,6 @@ class FlowRateBounds:
     @property
     def width(self) -> float:
         return self.max_rate - self.min_rate
-
-
-def flow_rate_at(flow: FlowInstance, slot: int) -> float:
-    """Instantaneous rate of one flow at a frame slot, in bits/s."""
-    return flow.trace.rate_at(flow.start_offset + slot)
 
 
 _CLASS_ALIASES = {c.value: c for c in ContentClass}

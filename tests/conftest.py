@@ -20,6 +20,11 @@ def make_trace(sizes, fps=30.0, trace_id="t", content_class=None):
     )
 
 
+def flow_rate_at(flow, slot):
+    """Instantaneous rate of one flow at a frame slot, in bits/s."""
+    return flow.trace.rate_at(flow.start_offset + slot)
+
+
 @pytest.fixture(scope="session")
 def cbr_library():
     """Three constant-bitrate traces at different levels, shared fps."""

@@ -1,8 +1,12 @@
 """Command-line interface: CSV schemas, determinism and exit statuses."""
 
-import math
+import argparse
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmac.cli import (
     EXIT_DATA,
@@ -10,10 +14,18 @@ from vmac.cli import (
     EXIT_REJECT,
     EXIT_USAGE,
     OutputTable,
+    build_parser,
     main,
-    read_csv,
     write_csv,
 )
+
+
+def read_csv(path) -> OutputTable:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    header = tuple(lines[0].split(","))
+    rows = tuple(tuple(line.split(",")) for line in lines[1:])
+    return OutputTable(header=header, rows=rows)
 
 
 @pytest.fixture()
@@ -130,6 +142,17 @@ def test_ingest_frame_size_beyond_int64_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_os_errors_are_data_errors(cbr_dir, tmp_path, capsys):
+    # a directory where a file is read or written is a data error, never a
+    # traceback with the Reject status
+    assert main(["ingest", str(cbr_dir)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+    code = main(["timeseries", "--traces-dir", str(cbr_dir), "--flows", "2",
+                 "--duration", "10", "--out", str(tmp_path)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- experiment commands --------------------------------------------------------------
 
 def sweep_args(cbr_dir, out, extra=()):
@@ -192,6 +215,46 @@ def test_sweep_flows_bad_range_is_usage_error(cbr_dir, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# each subcommand that reads traces, with every required flag but --flows and
+# --traces-dir
+TRACE_COMMANDS = {
+    "sweep-flows": ["sweep-flows", "--out", "x.csv"],
+    "timeseries": ["timeseries", "--duration", "10", "--out", "x.csv"],
+    "burstiness": ["burstiness", "--out", "x.csv"],
+    "sweep-window": ["sweep-window", "--windows", "2", "--out", "x.csv"],
+    "content": ["content", "--classes", "news", "--out", "x.csv"],
+    "admit": ["admit", "--policy", "avg", "--capacity", "10", "--quality", "sd"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+@pytest.mark.parametrize(
+    "extra, env_seed, status",
+    [
+        (["--flows", "0"], None, EXIT_USAGE),
+        (["--flows", "-1"], None, EXIT_USAGE),
+        (["--flows", "2,x"], None, EXIT_USAGE),
+        (["--flows", "2", "--seed", "-1"], None, EXIT_USAGE),
+        (["--flows", "2"], "-1", EXIT_USAGE),
+        (["--flows", "2", "--seed", "0"], "-1", EXIT_DATA),
+    ],
+    ids=["flows-0", "flows-negative", "flows-not-int", "seed-negative",
+         "env-seed-negative", "valid-flags"],
+)
+def test_flows_and_seed_checked_before_traces_load(
+    command, extra, env_seed, status, tmp_path, capsys, monkeypatch
+):
+    # the traces directory does not exist, so a flag error reported as a
+    # usage error was found before the traces were loaded
+    monkeypatch.delenv("VMAC_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("VMAC_SEED", env_seed)
+    monkeypatch.chdir(tmp_path)
+    argv = [*TRACE_COMMANDS[command], "--traces-dir", "void", *extra]
+    assert main(argv) == status
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_timeseries_row_count(cbr_dir, tmp_path):
     out = tmp_path / "ts.csv"
     code = main(
@@ -233,6 +296,19 @@ def test_window_sweep_single_window(cbr_dir, tmp_path):
     assert table.header == ("window_slots", "prob_mean", "ci_half_width")
     assert len(table.rows) == 1
     assert table.rows[0][1] == "0.000000"
+
+
+def test_window_sweep_checks_only_listed_windows(tmp_path):
+    # no --window default is checked against a library of 3-slot traces
+    d = tmp_path / "short"
+    d.mkdir()
+    for i in range(2):
+        (d / f"t-{i}.txt").write_text(f"# fps=30\n{100 + i}\n200\n300\n")
+    argv = ["sweep-window", "--traces-dir", str(d), "--flows", "2", "--runs", "10",
+            "--reps", "2", "--out", str(tmp_path / "w.csv"), "--windows"]
+    assert main(argv + ["2,3"]) == EXIT_OK
+    assert [row[0] for row in read_csv(tmp_path / "w.csv").rows] == ["2", "3"]
+    assert main(argv + ["2,4"]) == EXIT_DATA
 
 
 def test_content_command(content_dir, tmp_path):
@@ -279,6 +355,17 @@ def test_hoeffding_degenerate_widths(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_hoeffding_nan_width_is_usage_error(capsys):
+    code = main(["hoeffding", "--n", "2", "--epsilon", "1", "--widths", "nan,1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hoeffding_infinite_width(capsys):
+    assert main(["hoeffding", "--n", "1", "--epsilon", "1", "--widths", "inf"]) == EXIT_OK
+    assert "delta=1.000000" in capsys.readouterr().out
+
+
 # -- admit --------------------------------------------------------------------------------
 
 def test_admit_cbr_admit_and_reject(cbr_dir, capsys):
@@ -313,3 +400,138 @@ def test_admit_missing_traces_dir(tmp_path):
          "--traces-dir", str(tmp_path / "void"), "--flows", "2"]
     )
     assert code == EXIT_DATA
+
+
+# -- flag sets -----------------------------------------------------------------------------
+
+LIBRARY = {"--traces-dir", "--fps", "--flows", "--seed"}
+SWEEP = {"--runs", "--reps", "--confidence", "--workers"}
+OPTIONS = {
+    "ingest": {"--fps"},
+    "sweep-flows": LIBRARY | SWEEP | {"--window", "--out"},
+    "timeseries": LIBRARY | {"--window", "--out", "--duration"},
+    "burstiness": LIBRARY | {"--window", "--out", "--duration"},
+    "sweep-window": LIBRARY | SWEEP | {"--out", "--windows"},
+    "content": LIBRARY | SWEEP | {"--window", "--out", "--classes"},
+    "hoeffding": {"--n", "--epsilon", "--widths"},
+    "admit": LIBRARY | {"--window", "--policy", "--capacity", "--quality", "--rate"},
+}
+
+
+def test_each_subcommand_has_exactly_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["timeseries", "--duration", "10"], f) for f in sorted(SWEEP)]
+    + [(["burstiness"], f) for f in sorted(SWEEP)]
+    + [(["sweep-window", "--windows", "5"], "--window")],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(cbr_dir, tmp_path, argv, flag):
+    argv = [*argv, "--traces-dir", str(cbr_dir), "--flows", "2",
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "5"])
+    assert exc.value.code == EXIT_USAGE
+
+
+# -- argv fuzz -----------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """Tiny trace directories, good and bad, plus an existing directory and
+    a plain file to be misused as paths."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "good/news-0.txt": "# fps=30\n# class=news\n300\n310\n290\n305\n",
+        "good/sports-0.txt": "# fps=30\n# class=sports\n900\n20\n15\n",
+        "good/plain.txt": "# fps=30\n0 I 700\n1 P 90\n2 B 40\n3 P 120\n4 B 30\n",
+        "nofps/a.txt": "500\n100\n300\n",
+        "mixed/a.txt": "# fps=30\n500\n100\n300\n",
+        "mixed/b.txt": "# fps=25\n500\n100\n300\n",
+        "bad/a.txt": "# fps=30\n500\nabc\n",
+        "plain-file.txt": "# fps=30\n500\n",
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(text)
+    (root / "empty").mkdir()
+    (root / "outdir").mkdir()
+    return root
+
+
+# flag -> (well-formed values, bad values); '@' marks a path under the fuzz
+# root.  Each well-formed value is drawn four times as often as each bad one,
+# so that many runs get past the flag checks.
+FUZZ_VALUES = {
+    "--traces-dir": (["@good"], ["@nofps", "@mixed", "@bad", "@empty", "@missing",
+                                 "@plain-file.txt"]),
+    "--fps": (["30", "25"], ["0", "nan", "-1", "x"]),
+    "--flows": (["1", "2", "5", "2,3", "1:5:2"], ["0", "-1", "5:1:1", "x"]),
+    "--window": (["1", "2", "3", "5"], ["0", "-2"]),
+    "--seed": (["0", "7", "123456789"], ["-1", "x"]),
+    "--out": (["@o.csv"], ["@outdir", "@missing/o.csv"]),
+    "--runs": (["1", "5", "20"], ["0"]),
+    "--reps": (["2", "3"], ["1"]),
+    "--confidence": (["0.9", "0.95"], ["0", "1", "nan"]),
+    "--workers": (["1", "4"], ["0"]),
+    "--duration": (["1", "3", "20", "60"], ["0", "-1"]),
+    "--windows": (["1", "2,3", "1:3:1", "5"], ["0", "x"]),
+    "--classes": (["news", "news,sports", "sports", "unknown"], ["x"]),
+    "--n": (["1", "2", "3"], ["0", "-1"]),
+    "--epsilon": (["1", "0.5", "1e-12"], ["0", "nan"]),
+    "--widths": (["1", "2,2", "1,2,3", "inf"], ["0,0", "nan,1", "-1", "x"]),
+    "--policy": (["avg", "inst"], ["x"]),
+    "--capacity": (["0.5", "5", "50"], ["0", "nan"]),
+    "--quality": (["sd", "fullhd", "hdweb"], ["x"]),
+    "--rate": (["0.01", "1.5", "40"], ["0", "-1"]),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """(argv, VMAC_SEED or None)."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    flags = sorted(OPTIONS[command] - {"--quality", "--rate"})
+    if command == "admit":  # one of the two, which are mutually exclusive
+        flags.append(draw(st.sampled_from(["--quality", "--rate"])))
+    omitted = draw(st.sets(st.sampled_from(flags), max_size=1))
+    flags = [f for f in flags if f not in omitted]
+    flags += draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), max_size=1))
+    argv = [command]
+    if command == "ingest":
+        argv.append(draw(st.sampled_from(
+            ["@good/news-0.txt", "@good/plain.txt", "@nofps/a.txt", "@bad/a.txt",
+             "@missing.txt", "@good"])))
+    for flag in flags:
+        good, bad = FUZZ_VALUES[flag]
+        argv += [flag, draw(st.sampled_from(good * 4 + bad))]
+    env_seed = draw(st.sampled_from([None, None, "5", "-1", "x"]))
+    return argv, env_seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fuzz_argv())
+def test_any_argv_exits_with_a_contract_status(fuzz_root, case):
+    argv, env_seed = case
+    argv = [str(fuzz_root / a[1:]) if a.startswith("@") else a for a in argv]
+    with mock.patch.dict(os.environ):
+        os.environ.pop("VMAC_SEED", None)
+        if env_seed is not None:
+            os.environ["VMAC_SEED"] = env_seed
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            status = exc.code
+    assert status in (EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_DATA)
+    if status == EXIT_REJECT:
+        assert argv[0] == "admit"

@@ -13,7 +13,7 @@ from vmac.rate_engine import (
 )
 from vmac.trace_model import MBPS, FlowInstance
 
-from .conftest import make_trace
+from .conftest import flow_rate_at, make_trace
 
 
 def mbps_flow(slot_rates_mbps, fps=30.0, trace_id="f"):
@@ -33,8 +33,6 @@ def test_instantaneous_empty_flow_set_is_zero():
 
 def test_instantaneous_single_flow_identity():
     flow = mbps_flow([1.0, 2.0, 3.0])
-    from vmac.trace_model import flow_rate_at
-
     for slot in range(6):
         assert instantaneous_aggregate_rate([flow], slot) == flow_rate_at(flow, slot)
 

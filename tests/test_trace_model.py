@@ -30,14 +30,13 @@ from vmac.trace_model import (
     FlowInstance,
     FlowRateBounds,
     VideoTrace,
-    flow_rate_at,
     parse_trace_file,
     serialize_trace,
     synth_bounded_trace,
     synth_onoff_trace,
 )
 
-from .conftest import make_trace
+from .conftest import flow_rate_at, make_trace
 
 
 # -- parsing ------------------------------------------------------------------
@@ -297,6 +296,8 @@ def test_invalid_bounds_rejected():
         FlowRateBounds(3.0, 1.0)
     with pytest.raises(ValueError):
         FlowRateBounds(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        FlowRateBounds(0.0, math.nan)
 
 
 # -- bursty synthesis ---------------------------------------------------------

@@ -116,7 +116,7 @@ _FLAGS = {
     "--confidence": dict(type=float, default=0.95),
     "--workers": dict(type=int, default=1, help="accepted; has no effect"),
 }
-_LIBRARY = ("--traces-dir", "--fps")
+_LIBRARY = ("--traces-dir", "--fps", "--flows", "--seed")
 _SWEEP = ("--runs", "--reps", "--confidence", "--workers")
 
 
@@ -266,28 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
 
     subcommand("sweep-flows", "probability vs number of flows (CSV)",
-               _cmd_sweep_flows, *_LIBRARY, "--flows", "--window", "--seed",
-               "--out", *_SWEEP)
+               _cmd_sweep_flows, *_LIBRARY, "--window", "--out", *_SWEEP)
 
     p = subcommand("timeseries", "rate series for one flow set (CSV)",
-                   _cmd_timeseries, *_LIBRARY, "--flows", "--window", "--seed",
-                   "--out")
+                   _cmd_timeseries, *_LIBRARY, "--window", "--out")
     p.add_argument("--duration", type=int, required=True, help="slots")
 
     p = subcommand("burstiness", "PMR and CoV per flow count (CSV)",
-                   _cmd_burstiness, *_LIBRARY, "--flows", "--window", "--seed",
-                   "--out")
+                   _cmd_burstiness, *_LIBRARY, "--window", "--out")
     p.add_argument("--duration", type=int, default=300, help="slots")
 
     p = subcommand("sweep-window", "probability vs window length (CSV)",
-                   _cmd_sweep_window, *_LIBRARY, "--flows", "--seed", "--out",
-                   *_SWEEP)
+                   _cmd_sweep_window, *_LIBRARY, "--out", *_SWEEP)
     p.add_argument("--windows", required=True,
                    help="window lengths in slots, a comma list or a:b:step range")
 
     p = subcommand("content", "probability per content class (CSV)",
-                   _cmd_content, *_LIBRARY, "--flows", "--window", "--seed",
-                   "--out", *_SWEEP)
+                   _cmd_content, *_LIBRARY, "--window", "--out", *_SWEEP)
     p.add_argument("--classes", required=True, help="e.g. 'news,sports'")
 
     p = subcommand("hoeffding", "evaluate the exceedance bound", _cmd_hoeffding)
@@ -297,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of per-flow range widths in Mbps")
 
     p = subcommand("admit", "one seeded admission decision", _cmd_admit,
-                   *_LIBRARY, "--flows", "--window", "--seed")
+                   *_LIBRARY, "--window")
     p.add_argument("--policy", choices=["avg", "inst"], required=True)
     p.add_argument("--capacity", type=float, required=True, help="Mbps")
     group = p.add_mutually_exclusive_group(required=True)

@@ -90,6 +90,14 @@ def _parse_counts(text: str, flag: str) -> tuple[int, ...]:
     return counts
 
 
+def _duration(args, least: int) -> int:
+    """--duration, which must be at least the `least` slots the command needs."""
+    if args.duration < least:
+        raise ValueError(f"--duration must be >= {least} slots with --window "
+                         f"{args.window}, got {args.duration}")
+    return args.duration
+
+
 def _master_seed(args) -> int:
     """--seed, else $VMAC_SEED, else 0; it must be >= 0."""
     if args.seed is not None:
@@ -165,8 +173,9 @@ def _cmd_sweep_flows(args) -> int:
 
 def _cmd_timeseries(args) -> int:
     n = _flow_count(args.flows)
+    duration = _duration(args, args.window)
     cfg = _config(args)
-    ts = experiments.run_rate_timeseries(cfg, n, args.duration, cfg.master_seed)
+    ts = experiments.run_rate_timeseries(cfg, n, duration, cfg.master_seed)
     return _write_rows(
         args, ("slot", "inst_bps", "avg_bps"),
         zip(ts.slots, ts.instantaneous, ts.average),
@@ -175,7 +184,9 @@ def _cmd_timeseries(args) -> int:
 
 def _cmd_burstiness(args) -> int:
     counts = _parse_counts(args.flows, "--flows")
-    rows = experiments.run_burstiness_table(_config(args), counts, args.duration)
+    # the coefficient of variation needs two end slots of each series
+    duration = _duration(args, args.window + 1)
+    rows = experiments.run_burstiness_table(_config(args), counts, duration)
     return _write_rows(
         args, ("flows", "rate_kind", "pmr", "cov"),
         ((r.flow_count, r.rate_kind, r.peak_to_mean, r.cov) for r in rows),

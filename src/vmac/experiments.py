@@ -87,10 +87,6 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
-    @property
-    def fps(self) -> float:
-        return self.trace_library[0].fps
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -141,46 +137,42 @@ def draw_flow_set(
     return flows, int(ends[0])
 
 
-def _cum2_stack(library):
-    """Each trace's doubled prefix sum as one zero-padded row, and the trace
-    lengths."""
+def _gap_table(library, w):
+    """Per trace, the gap D = window bytes - w * last-slot bytes of the
+    `w`-slot window at every start, one zero-padded int64 row per trace, and
+    the trace lengths.  A run's average is below its instantaneous rate
+    exactly when its flows' gaps sum below 0; each row sums to 0."""
     lengths = np.array([len(t) for t in library], dtype=np.int64)
-    stack = np.zeros((len(library), 2 * lengths.max() + 1), dtype=np.int64)
-    for row, trace in zip(stack, library):
-        row[:len(trace._cum2)] = np.asarray(trace._cum2)
-    return stack, lengths
+    table = np.zeros((len(library), lengths.max()), dtype=np.int64)
+    for row, trace in zip(table, library):
+        c, n = np.asarray(trace._cum2), len(trace)
+        hi = c[w:n + w]
+        row[:n] = hi - c[:n] - w * (hi - c[w - 1:n + w - 1])
+    return table, lengths
 
 
-def _window_bytes(stack, w, tr, offs, ends):
-    """Per run: aggregate bytes over the window and in its last slot."""
-    cum2, lengths = stack
-    start = (offs + (ends - (w - 1))[:, None]) % lengths[tr]
-    lo = cum2[tr, start]
-    last = cum2[tr, start + w - 1]
-    hi = cum2[tr, start + w]
-    return (hi - lo).sum(axis=1), (hi - last).sum(axis=1)
-
-
-def _rep_probability(library, stack, n, w, runs, seed) -> float:
+def _rep_probability(library, table, n, w, runs, seed) -> float:
+    gaps, lengths = table
     rng = np.random.Generator(np.random.PCG64(seed))
     # batches bound the memory of large runs; the draw order is unchanged
     batch = max(1, _BATCH_FLOWS // max(n, 1))
     hits = 0
     for done in range(0, runs, batch):
-        scenarios = draw_scenarios(rng, library, n, w, min(batch, runs - done))
-        win, inst = _window_bytes(stack, w, *scenarios)
+        tr, offs, ends = draw_scenarios(rng, library, n, w, min(batch, runs - done))
+        start = (offs + (ends - (w - 1))[:, None]) % lengths[tr]
         # exact in int64, so ties (the CBR case) never count
-        hits += int(np.count_nonzero(win < w * inst))
+        hits += int(np.count_nonzero(gaps[tr, start].sum(axis=1) < 0))
     return hits / runs
 
 
 def _probability_scenario(cfg, library, n, w, scenario_seed) -> MeanWithCI:
     max_frame = max(int(t.sizes.max()) for t in library)
+    # a gap is at most w * max_frame bytes either way, so this bounds the sums
     if n * w * max_frame > INT64_MAX:
         raise ByteOverflow(f"{n} flows x {w} slots x {max_frame} bytes exceeds int64")
-    stack = _cum2_stack(library)
+    table = _gap_table(library, w)
     values = [
-        _rep_probability(library, stack, n, w, cfg.runs_per_rep,
+        _rep_probability(library, table, n, w, cfg.runs_per_rep,
                          derive_run_seed(scenario_seed, rep, 0))
         for rep in range(cfg.reps)
     ]

@@ -157,12 +157,16 @@ class VideoTrace:
 
     def window_bytes(self, start_slot: int, count: int) -> int:
         """Sum of frame sizes over `count` consecutive slots from `start_slot`,
-        wrapping modulo the trace length."""
+        wrapping modulo the trace length: whole periods of the trace total
+        plus the wrapped remainder, summed from `sizes` without the prefix
+        sum."""
         n = len(self.sizes)
-        total_bytes = int(self._cum2[n]) if count >= n else 0
         whole, rem = divmod(count, n)
         start = start_slot % n
-        return whole * total_bytes + int(self._cum2[start + rem] - self._cum2[start])
+        end = start + rem
+        total = whole * sum(self.sizes.tolist()) if whole else 0
+        return (total + sum(self.sizes[start:end].tolist())
+                + sum(self.sizes[:max(0, end - n)].tolist()))
 
     def summary_rates(self) -> tuple[float, float, float]:
         """(min, mean, peak) slot rate in bits/s."""
@@ -219,15 +223,21 @@ def _fps_directive(value: str) -> Optional[float]:
     return fps if fps > 0 and math.isfinite(fps) else None
 
 
+def _text_lines(text: str) -> list[str]:
+    """The lines of `text` as text-mode reading splits them: CR LF and a lone
+    CR end a line as LF does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
     """Parse a frame-size trace file.
 
     The in-file ``# fps=`` directive wins over `fps_override`; if neither is
     present, MissingFps is raised.  Lines are read once, in file order, and
     the first one that breaks the format raises MalformedLine with its line
-    number: a bad ``fps=`` directive, a row that is not 1 or 3 integer
-    columns, a negative size, or an index that is not above the previous
-    one or is beyond int64.
+    number: a byte that is not UTF-8, a bad ``fps=`` directive, a row that
+    is not 1 or 3 integer columns, a negative size, or an index that is not
+    above the previous one or is beyond int64.
     """
     path = Path(path)
     fps: Optional[float] = None
@@ -236,8 +246,15 @@ def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
     types: list[str] = []
     sizes: list[int] = []
     prev = -1
-    lines = path.read_text(encoding="utf-8").split("\n")
-    for line_no, line in enumerate(lines, start=1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line that holds the first byte that is not UTF-8
+        line_no = len(_text_lines(data[:exc.start].decode("utf-8")))
+        line = _text_lines(data.decode("utf-8", "replace"))[line_no - 1]
+        raise MalformedLine(path, line_no, line.strip()) from None
+    for line_no, line in enumerate(_text_lines(text), start=1):
         parts = line.split()
         if not parts:
             continue

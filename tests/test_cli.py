@@ -110,22 +110,32 @@ def test_ingest_malformed_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, line_no",
+    "data, line_no",
     [
-        ("# fps=inf\n100\n", 1),
-        ("# fps=30\n0 I 100\n0 P 50\n", 3),
-        ("# fps=30\n-1 I 100\n", 2),
-        ("0 I 5\n3 P 7\n2 B 1\n", 3),
-        ("100\n# fps = inf\n", 2),
+        (b"# fps=inf\n100\n", 1),
+        (b"# fps=30\n0 I 100\n0 P 50\n", 3),
+        (b"# fps=30\n-1 I 100\n", 2),
+        (b"0 I 5\n3 P 7\n2 B 1\n", 3),
+        (b"100\n# fps = inf\n", 2),
+        (b"# fps=30\n100\n2\xe900\n", 3),
+        (b"# fps=30\n# caf\xe9\n100\n", 2),
     ],
     ids=["fps-inf", "duplicate-index", "negative-index", "decreasing-index-no-fps",
-         "spaced-fps-inf"],
+         "spaced-fps-inf", "non-utf8-row", "non-utf8-comment"],
 )
-def test_ingest_bad_trace_data_is_data_error(tmp_path, capsys, text, line_no):
+def test_ingest_bad_trace_data_is_data_error(tmp_path, capsys, data, line_no):
     p = tmp_path / "bad.txt"
-    p.write_text(text)
+    p.write_bytes(data)
     assert main(["ingest", str(p)]) == EXIT_DATA
     assert f"line {line_no}:" in capsys.readouterr().err
+
+
+def test_non_utf8_trace_in_library_is_data_error(cbr_dir, tmp_path, capsys):
+    (cbr_dir / "latin1.txt").write_bytes(b"# fps=30\n5000\n# \xe9t\xe9\n")
+    code = main(["sweep-flows", "--traces-dir", str(cbr_dir), "--flows", "2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_DATA
+    assert "line 3:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fps", ["inf", "0", "nan"])
@@ -253,6 +263,39 @@ def test_flows_and_seed_checked_before_traces_load(
     argv = [*TRACE_COMMANDS[command], "--traces-dir", "void", *extra]
     assert main(argv) == status
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["timeseries", "--duration", "-1"], EXIT_USAGE),
+        (["timeseries", "--duration", "4"], EXIT_USAGE),
+        (["timeseries", "--duration", "5"], EXIT_DATA),
+        (["timeseries", "--window", "2", "--duration", "1"], EXIT_USAGE),
+        (["burstiness", "--duration", "4"], EXIT_USAGE),
+        (["burstiness", "--duration", "5"], EXIT_USAGE),
+        (["burstiness", "--duration", "6"], EXIT_DATA),
+    ],
+    ids=["timeseries-negative", "timeseries-below-window", "timeseries-window",
+         "timeseries-below-window-2", "burstiness-below-window",
+         "burstiness-window", "burstiness-window-plus-1"],
+)
+def test_duration_checked_before_traces_load(argv, status, tmp_path, capsys,
+                                             monkeypatch):
+    # as above: the traces directory does not exist; the series of a
+    # timeseries needs one end slot, each of burstiness's series two
+    monkeypatch.chdir(tmp_path)
+    argv += ["--flows", "2", "--traces-dir", "void", "--out", "x.csv"]
+    assert main(argv) == status
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["timeseries", "--duration", "5"],
+                                  ["burstiness", "--duration", "6"]])
+def test_shortest_duration_runs(cbr_dir, tmp_path, argv):
+    argv += ["--flows", "2", "--traces-dir", str(cbr_dir),
+             "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == EXIT_OK
 
 
 def test_timeseries_row_count(cbr_dir, tmp_path):

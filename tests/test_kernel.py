@@ -1,7 +1,8 @@
-"""Batched Monte Carlo kernel, scenario drawer and rate-series helper,
-checked against the per-quantity reference in `rate_engine`:
-`instantaneous_aggregate_rate` and `average_aggregate_rate`, which sum each
-flow's bytes independently of the one-pass `rate_sample`."""
+"""Batched Monte Carlo kernel, its per-start gap table, scenario drawer and
+rate-series helper, checked against the per-quantity reference in
+`rate_engine`: `instantaneous_aggregate_rate` and `average_aggregate_rate`,
+which sum each flow's bytes from `sizes`, independently of the prefix sum
+that `rate_sample` and the gap table read."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from vmac import experiments
 from vmac.errors import ByteOverflow
 from vmac.experiments import (
     ExperimentConfig,
-    _cum2_stack,
+    _gap_table,
     _rep_probability,
-    _window_bytes,
     draw_scenarios,
     run_probability_sweep,
 )
@@ -48,6 +48,47 @@ def scenario_flows(library, tr_row, offs_row):
     ]
 
 
+def run_gaps(library, w, tr, offs, ends):
+    """Each run's gap sum, gathered from the gap table as the kernel does."""
+    gaps, lengths = _gap_table(library, w)
+    start = (offs + (ends - (w - 1))[:, None]) % lengths[tr]
+    return gaps[tr, start].sum(axis=1)
+
+
+def reference_gap(flows, end, w):
+    """Window bytes minus w times last-slot bytes, from the reference sums."""
+    return sum(
+        f.trace.window_bytes(f.start_offset + end - w + 1, w)
+        - w * f.trace.size_at(f.start_offset + end)
+        for f in flows
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(library=libraries)
+def test_gap_table_rows_match_brute_force(library):
+    for w in range(1, min(len(t) for t in library) + 1):
+        gaps, lengths = _gap_table(library, w)
+        assert gaps.dtype == np.int64
+        assert lengths.tolist() == [len(t) for t in library]
+        for row, trace in zip(gaps, library):
+            sizes, n = trace.sizes.tolist(), len(trace)
+            brute = [
+                sum(sizes[(s + k) % n] for k in range(w))
+                - w * sizes[(s + w - 1) % n]
+                for s in range(n)
+            ]
+            assert row.tolist() == brute + [0] * (len(row) - n)
+            # E[D] = 0: over all starts the window bytes and w times the
+            # last-slot bytes both total w times the trace total
+            assert row.sum() == 0
+
+
+def test_gap_table_of_cbr_is_zero(cbr_library):
+    for w in (1, 5, 50):
+        assert not _gap_table(cbr_library, w)[0].any()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     library=libraries,
@@ -60,15 +101,19 @@ def test_batched_runs_match_per_quantity_rates(library, n, w_frac, runs, seed):
     shortest = min(len(t) for t in library)
     w = 1 + int(w_frac * (shortest - 1))
     tr, offs, ends = draw_scenarios(rng(seed), library, n, w, runs)
-    win, inst = _window_bytes(_cum2_stack(library), w, tr, offs, ends)
+    gap = run_gaps(library, w, tr, offs, ends)
     for r in range(runs):
         flows = scenario_flows(library, tr[r], offs[r])
-        window = MeasurementWindow(int(ends[r]), w)
-        instantaneous = instantaneous_aggregate_rate(flows, window.end_slot)
-        average = average_aggregate_rate(flows, window)
-        assert inst[r] * 8 * 30.0 == instantaneous
-        assert win[r] * 8 / w * 30.0 == average
-        assert (win[r] < w * inst[r]) == (average < instantaneous)
+        end = int(ends[r])
+        instantaneous = instantaneous_aggregate_rate(flows, end)
+        average = average_aggregate_rate(flows, MeasurementWindow(end, w))
+        # the kernel forms no window or instant sum, only their gap
+        assert gap[r] == reference_gap(flows, end, w)
+        assert (gap[r] < 0) == (average < instantaneous)
+    # the kernel itself draws the same runs and counts the same verdicts
+    table = _gap_table(library, w)
+    assert _rep_probability(library, table, n, w, runs, seed) == (
+        np.count_nonzero(gap < 0) / runs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,10 +163,10 @@ def test_block_draw_equals_run_by_run_draw(library, n, runs, seed):
 
 
 def test_batch_size_does_not_change_probability(bursty_lib, monkeypatch):
-    stack = _cum2_stack(bursty_lib)
-    expected = _rep_probability(bursty_lib, stack, 5, 25, 200, seed=3)
+    table = _gap_table(bursty_lib, 25)
+    expected = _rep_probability(bursty_lib, table, 5, 25, 200, seed=3)
     monkeypatch.setattr(experiments, "_BATCH_FLOWS", 7)
-    assert _rep_probability(bursty_lib, stack, 5, 25, 200, seed=3) == expected
+    assert _rep_probability(bursty_lib, table, 5, 25, 200, seed=3) == expected
 
 
 def test_kernel_exact_near_int64_limit():
@@ -129,15 +174,14 @@ def test_kernel_exact_near_int64_limit():
     library = (make_trace([big + 3, big, 5]), make_trace([big, big + 1]))
     n, w, runs = 7, 2, 200  # 7 * 2 * (2^59 + 3) < 2^63
     tr, offs, ends = draw_scenarios(rng(1), library, n, w, runs)
-    win, inst = _window_bytes(_cum2_stack(library), w, tr, offs, ends)
+    gap = run_gaps(library, w, tr, offs, ends)
     for r in range(runs):
         flows = scenario_flows(library, tr[r], offs[r])
         end = int(ends[r])
-        assert inst[r] == sum(f.trace.size_at(f.start_offset + end) for f in flows)
-        assert win[r] == sum(
-            f.trace.window_bytes(f.start_offset + end - w + 1, w) for f in flows
-        )
-    assert 0 < np.count_nonzero(win < w * inst) < runs
+        # exact integers: float rates of 2^59-byte frames cannot resolve
+        # gaps of a few bytes, so the verdict is the sign of this sum
+        assert gap[r] == reference_gap(flows, end, w)
+    assert 0 < np.count_nonzero(gap < 0) < runs
 
 
 def test_kernel_refuses_sums_beyond_int64():

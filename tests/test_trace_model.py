@@ -140,6 +140,31 @@ def test_malformed_row_or_directive_line_number(tmp_path, text, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    "data, line_no",
+    [
+        (b"# fps=30\n100\n2\xe900\n", 3),
+        (b"# caf\xe9\n100\n", 1),
+        (b"# fps=30\r\n100\r2\xe900\r\n", 3),
+        (b"# fps=30\n100\n\xc3", 3),
+    ],
+    ids=["row", "comment", "cr-line-ends", "truncated-at-end"],
+)
+def test_first_non_utf8_byte_is_malformed_line(tmp_path, data, line_no):
+    p = tmp_path / "t.txt"
+    p.write_bytes(data)
+    with pytest.raises(MalformedLine) as exc:
+        parse_trace_file(p)
+    assert exc.value.line_no == line_no
+    assert f"line {line_no}:" in str(exc.value)
+
+
+def test_cr_lf_and_lone_cr_end_lines(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"# fps=30\r\n100\r200\n\r300\r\n")
+    assert parse_trace_file(p).sizes.tolist() == [100, 200, 300]
+
+
 def test_mixed_and_commented_rows(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("0 I 5\n  # note\n\n1\n\t2 X 7\n# fps=30\n9 B 3\n")

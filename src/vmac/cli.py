@@ -129,15 +129,16 @@ _SWEEP = ("--runs", "--reps", "--confidence", "--workers")
 
 
 def _config(args, **fields) -> experiments.ExperimentConfig:
-    """Check the seed, load the traces and build the experiment config from
-    `fields` and the subcommand's --window and sweep flags."""
+    """Build the experiment config from `fields` and the subcommand's --seed,
+    --window and sweep flags, checking every flag before the traces load."""
     seed = _master_seed(args)
-    library = _load_library(args.traces_dir, args.fps)
     if "window" in args:
         fields["window_slots"] = args.window
     if "runs" in args:
         fields.update(runs_per_rep=args.runs, reps=args.reps,
                       confidence=args.confidence, workers=args.workers)
+    experiments.check_settings(**fields)
+    library = _load_library(args.traces_dir, args.fps)
     return experiments.ExperimentConfig(
         trace_library=library, master_seed=seed, **fields
     )

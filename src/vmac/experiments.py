@@ -70,22 +70,34 @@ class ExperimentConfig:
                 raise MixedFps(
                     f"library mixes frame rates {fps} and {t.fps}"
                 )
-        if any(n < 1 for n in self.flow_counts):
-            raise ValueError("flow counts must be >= 1")
-        if self.window_slots < 1 or self.runs_per_rep < 1:
-            raise ValueError("window_slots and runs_per_rep must be >= 1")
-        if self.reps < 2:
-            raise ValueError("reps must be >= 2 for a confidence interval")
+        check_settings(
+            flow_counts=self.flow_counts, window_slots=self.window_slots,
+            runs_per_rep=self.runs_per_rep, reps=self.reps,
+            confidence=self.confidence, workers=self.workers,
+        )
         shortest = min(len(t) for t in self.trace_library)
         if shortest < self.window_slots:
             raise InsufficientHistory(
                 f"shortest trace has {shortest} slots, window needs "
                 f"{self.window_slots}"
             )
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+
+
+def check_settings(*, flow_counts=(), window_slots=1, runs_per_rep=1, reps=2,
+                   confidence=0.5, workers=1) -> None:
+    """The `ExperimentConfig` checks that read no trace, so that a caller can
+    refuse a bad setting before it loads any; a setting not given passes.
+    Raises ValueError."""
+    if any(n < 1 for n in flow_counts):
+        raise ValueError("flow counts must be >= 1")
+    for name, value in (("window_slots", window_slots),
+                        ("runs_per_rep", runs_per_rep), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for a confidence interval, got {reps}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +127,10 @@ def draw_scenarios(rng, library, n, w, runs):
     the end slot over one period of the longest trace."""
     u = rng.random((runs, 2 * n + 1))
     lengths = np.array([len(t) for t in library], dtype=np.int64)
-    tr = np.floor(u[:, :n] * len(library)).astype(np.int64)
-    offs = np.floor(u[:, n:2 * n] * lengths[tr]).astype(np.int64)
-    ends = w - 1 + np.floor(u[:, 2 * n] * lengths.max()).astype(np.int64)
+    # the products are >= 0, so truncating to int64 is their floor
+    tr = (u[:, :n] * len(library)).astype(np.int64)
+    offs = (u[:, n:2 * n] * lengths[tr]).astype(np.int64)
+    ends = w - 1 + (u[:, 2 * n] * lengths.max()).astype(np.int64)
     return tr, offs, ends
 
 
@@ -139,29 +152,51 @@ def draw_flow_set(
 
 def _gap_table(library, w):
     """Per trace, the gap D = window bytes - w * last-slot bytes of the
-    `w`-slot window at every start, one zero-padded int64 row per trace, and
-    the trace lengths.  A run's average is below its instantaneous rate
-    exactly when its flows' gaps sum below 0; each row sums to 0."""
+    `w`-slot window at every start, and the trace lengths.  Each int64 row
+    holds its trace's gaps repeated periodically to the common width
+    2 * Lmax - 1, so row[s] is the gap at start s % L for any s in a row.  A
+    run's average is below its instantaneous rate exactly when its flows'
+    gaps sum below 0; over one period each row sums to 0."""
     lengths = np.array([len(t) for t in library], dtype=np.int64)
-    table = np.zeros((len(library), lengths.max()), dtype=np.int64)
+    width = 2 * int(lengths.max()) - 1
+    table = np.empty((len(library), width), dtype=np.int64)
     for row, trace in zip(table, library):
         c, n = np.asarray(trace._cum2), len(trace)
-        hi = c[w:n + w]
-        row[:n] = hi - c[:n] - w * (hi - c[w - 1:n + w - 1])
+        hi, gap = c[w:n + w], row[:n]
+        # (hi - c[:n]) - w * (hi - c[w - 1:n + w - 1]), with no temporaries
+        np.subtract(hi, c[w - 1:n + w - 1], out=gap)
+        gap *= -w
+        gap += hi
+        gap -= c[:n]
+        # row[:m] holds whole periods, so copying it on keeps the period
+        m = n
+        while m < width:
+            k = min(m, width - m)
+            row[m:m + k] = row[:k]
+            m += k
     return table, lengths
 
 
+def _gap_sums(gaps, w, tr, offs, ends):
+    """Each run's sum of its flows' gaps, gathered by one flat take from the
+    periodic rows: a start offset plus the window's first slot is at most
+    L + Lmax - 2, inside the row, so no index wraps."""
+    idx = tr * gaps.shape[1]
+    idx += offs
+    idx += (ends - (w - 1))[:, None]
+    return gaps.take(idx).sum(axis=1)
+
+
 def _rep_probability(library, table, n, w, runs, seed) -> float:
-    gaps, lengths = table
+    gaps, _ = table
     rng = np.random.Generator(np.random.PCG64(seed))
     # batches bound the memory of large runs; the draw order is unchanged
     batch = max(1, _BATCH_FLOWS // max(n, 1))
     hits = 0
     for done in range(0, runs, batch):
         tr, offs, ends = draw_scenarios(rng, library, n, w, min(batch, runs - done))
-        start = (offs + (ends - (w - 1))[:, None]) % lengths[tr]
         # exact in int64, so ties (the CBR case) never count
-        hits += int(np.count_nonzero(gaps[tr, start].sum(axis=1) < 0))
+        hits += int(np.count_nonzero(_gap_sums(gaps, w, tr, offs, ends) < 0))
     return hits / runs
 
 

@@ -265,6 +265,28 @@ def test_flows_and_seed_checked_before_traces_load(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+SWEEP_FLAG_ERRORS = [["--runs", "0"], ["--reps", "1"], ["--confidence", "1.5"],
+                     ["--confidence", "0"], ["--workers", "0"]]
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [pytest.param(c, bad, id=f"{c}{bad[0]}={bad[1]}")
+     for c in ("sweep-flows", "sweep-window", "content")
+     for bad in SWEEP_FLAG_ERRORS]
+    + [pytest.param(c, ["--window", "0"], id=f"{c}--window=0") for c in
+       ("sweep-flows", "timeseries", "burstiness", "content", "admit")],
+)
+def test_sweep_and_window_flags_checked_before_traces_load(
+    command, bad, tmp_path, capsys, monkeypatch
+):
+    # as above: the traces directory does not exist
+    monkeypatch.chdir(tmp_path)
+    argv = [*TRACE_COMMANDS[command], "--traces-dir", "void", "--flows", "2", *bad]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "argv, status",
     [

@@ -13,6 +13,7 @@ from vmac import experiments
 from vmac.errors import ByteOverflow
 from vmac.experiments import (
     ExperimentConfig,
+    _gap_sums,
     _gap_table,
     _rep_probability,
     draw_scenarios,
@@ -71,6 +72,7 @@ def test_gap_table_rows_match_brute_force(library):
         gaps, lengths = _gap_table(library, w)
         assert gaps.dtype == np.int64
         assert lengths.tolist() == [len(t) for t in library]
+        assert gaps.shape == (len(library), 2 * max(lengths) - 1)
         for row, trace in zip(gaps, library):
             sizes, n = trace.sizes.tolist(), len(trace)
             brute = [
@@ -78,10 +80,11 @@ def test_gap_table_rows_match_brute_force(library):
                 - w * sizes[(s + w - 1) % n]
                 for s in range(n)
             ]
-            assert row.tolist() == brute + [0] * (len(row) - n)
+            # every entry: the row repeats the trace's gaps periodically
+            assert row.tolist() == [brute[j % n] for j in range(len(row))]
             # E[D] = 0: over all starts the window bytes and w times the
             # last-slot bytes both total w times the trace total
-            assert row.sum() == 0
+            assert row[:n].sum() == 0
 
 
 def test_gap_table_of_cbr_is_zero(cbr_library):
@@ -110,10 +113,65 @@ def test_batched_runs_match_per_quantity_rates(library, n, w_frac, runs, seed):
         # the kernel forms no window or instant sum, only their gap
         assert gap[r] == reference_gap(flows, end, w)
         assert (gap[r] < 0) == (average < instantaneous)
-    # the kernel itself draws the same runs and counts the same verdicts
+    # the kernel's flat take gives the same sums, draws the same runs and
+    # counts the same verdicts
     table = _gap_table(library, w)
+    assert np.array_equal(_gap_sums(table[0], w, tr, offs, ends), gap)
     assert _rep_probability(library, table, n, w, runs, seed) == (
         np.count_nonzero(gap < 0) / runs)
+
+
+@pytest.mark.parametrize("short, w", [(1, 1), (2, 2), (3, 3), (39, 5)])
+def test_flat_take_matches_modulo_at_every_start(short, w):
+    # a short trace beside a 40-slot one; every offset and every end term,
+    # up to the largest index the drawer can produce (offset L - 1, end
+    # term Lmax - 1), one flow per run
+    longest = 40
+    library = (make_trace([7 * k % 11 for k in range(short)]),
+               make_trace([(k * k) % 23 + 1 for k in range(longest)]))
+    cases = [(t, o, e) for t, trace in enumerate(library)
+             for o in range(len(trace)) for e in range(longest)]
+    tr, offs, e = (np.array(col, dtype=np.int64)[:, None] for col in zip(*cases))
+    ends = e[:, 0] + w - 1
+    gaps, _ = _gap_table(library, w)
+    expected = run_gaps(library, w, tr, offs, ends)
+    assert np.array_equal(_gap_sums(gaps, w, tr, offs, ends), expected)
+    assert int(offs.max() + e.max()) == gaps.shape[1] - 1
+    if w > 1:
+        assert expected.any()
+
+
+class StubRng:
+    """Hands `draw_scenarios` a chosen block in place of uniform draws."""
+
+    def __init__(self, block):
+        self.block = np.asarray(block, dtype=np.float64)
+
+    def random(self, shape):
+        assert shape == self.block.shape
+        return self.block
+
+
+def test_draw_scenarios_truncation_equals_floor():
+    library = (make_trace([1]), make_trace([1] * 7), make_trace([1] * 40))
+    n, w = 3, 2
+    top = np.nextafter(1.0, 0.0)
+    rows = [[0.0] * 7, [top] * 7, [0.5] * 7,
+            [top, 0.0, 0.34, 0.0, top, 0.99, top],
+            [1 / 3, 2 / 3, 0.0, top, top, top, 0.25]]
+    rows += rng(5).random((50, 2 * n + 1)).tolist()
+    block = np.array(rows)
+    tr, offs, ends = draw_scenarios(StubRng(block), library, n, w, len(rows))
+    # the formula before truncation replaced np.floor
+    lengths = np.array([len(t) for t in library], dtype=np.int64)
+    floor_tr = np.floor(block[:, :n] * len(library)).astype(np.int64)
+    floor_offs = np.floor(block[:, n:2 * n] * lengths[floor_tr]).astype(np.int64)
+    floor_ends = w - 1 + np.floor(block[:, 2 * n] * lengths.max()).astype(np.int64)
+    for got, want in ((tr, floor_tr), (offs, floor_offs), (ends, floor_ends)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the top uniform reaches the last trace, offset and end slot
+    assert tr[1].tolist() == [2] * n and offs[1].tolist() == [39] * n
+    assert ends[1] == w - 1 + 39
 
 
 @settings(max_examples=60, deadline=None)

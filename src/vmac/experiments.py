@@ -11,12 +11,15 @@ The probability of interest per run is whether the windowed average
 aggregate rate is strictly below the instantaneous aggregate rate at the
 decision instant; per repetition it is estimated over `runs_per_rep` runs
 in one batched gather, and the sweep reports mean plus confidence interval
-over `reps` repetitions.
+over `reps` repetitions.  The gap table the gather reads depends only on
+the library and window, so it is built once and kept in a bounded memo.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,18 +123,31 @@ class BurstinessRow:
     cov: float
 
 
+def _draw(rng, n, runs, lengths, lmax):
+    """Trace indices and start offsets, both (runs, n), and the first slot
+    of each run's window, (runs,), from one ``rng.random((runs, 2n+1))``
+    block; each row is consumed as one run: n trace picks, n offsets, then
+    the first slot over one period of the longest trace, `lmax` slots.
+    `lengths` holds the trace lengths as float64, the factors the offset
+    uniforms are scaled by (exact, and the same products as int64 gives)."""
+    u = rng.random((runs, 2 * n + 1))
+    # the products are >= 0, so truncating to int64 is their floor
+    tr = (u[:, :n] * len(lengths)).astype(np.int64)
+    offs = lengths.take(tr)
+    offs *= u[:, n:2 * n]
+    first = (u[:, 2 * n] * lmax).astype(np.int64)
+    return tr, offs.astype(np.int64), first
+
+
 def draw_scenarios(rng, library, n, w, runs):
     """Trace indices and start offsets, both (runs, n), and the end slot of
     each run's `w`-slot window, (runs,), from one ``rng.random((runs, 2n+1))``
     block; each row is consumed as one run: n trace picks, n offsets, then
     the end slot over one period of the longest trace."""
-    u = rng.random((runs, 2 * n + 1))
-    lengths = np.array([len(t) for t in library], dtype=np.int64)
-    # the products are >= 0, so truncating to int64 is their floor
-    tr = (u[:, :n] * len(library)).astype(np.int64)
-    offs = (u[:, n:2 * n] * lengths[tr]).astype(np.int64)
-    ends = w - 1 + (u[:, 2 * n] * lengths.max()).astype(np.int64)
-    return tr, offs, ends
+    lengths = np.array([len(t) for t in library], dtype=np.float64)
+    tr, offs, first = _draw(rng, n, runs, lengths, max(len(t) for t in library))
+    first += w - 1
+    return tr, offs, first
 
 
 def draw_flow_set(
@@ -150,16 +166,27 @@ def draw_flow_set(
     return flows, int(ends[0])
 
 
-def _gap_table(library, w):
+@dataclass(frozen=True)
+class _GapTable:
+    """What a scenario over one library and window needs that depends on
+    neither the flow count nor the seed; every array is read-only."""
+
+    gaps: np.ndarray  # (traces, width) int64 periodic gap rows
+    lengths: np.ndarray  # float64 trace lengths, as `_draw` takes them
+    lmax: int  # the longest trace's length
+    max_frame: int  # the largest frame size, in bytes
+
+
+def _gap_table(library, w) -> _GapTable:
     """Per trace, the gap D = window bytes - w * last-slot bytes of the
-    `w`-slot window at every start, and the trace lengths.  Each int64 row
-    holds its trace's gaps repeated periodically to the common width
-    2 * Lmax - 1, so row[s] is the gap at start s % L for any s in a row.  A
-    run's average is below its instantaneous rate exactly when its flows'
-    gaps sum below 0; over one period each row sums to 0."""
-    lengths = np.array([len(t) for t in library], dtype=np.int64)
-    width = 2 * int(lengths.max()) - 1
-    table = np.empty((len(library), width), dtype=np.int64)
+    `w`-slot window at every start.  Each int64 row holds its trace's gaps
+    repeated periodically to the common width 2 * Lmax - 1, so row[s] is the
+    gap at start s % L for any s in a row.  A run's average is below its
+    instantaneous rate exactly when its flows' gaps sum below 0; over one
+    period each row sums to 0."""
+    lengths = np.array([len(t) for t in library], dtype=np.float64)
+    lmax = max(len(t) for t in library)
+    table = np.empty((len(library), 2 * lmax - 1), dtype=np.int64)
     for row, trace in zip(table, library):
         c, n = np.asarray(trace._cum2), len(trace)
         hi, gap = c[w:n + w], row[:n]
@@ -170,44 +197,73 @@ def _gap_table(library, w):
         gap -= c[:n]
         # row[:m] holds whole periods, so copying it on keeps the period
         m = n
-        while m < width:
-            k = min(m, width - m)
+        while m < len(row):
+            k = min(m, len(row) - m)
             row[m:m + k] = row[:k]
             m += k
-    return table, lengths
+    table.flags.writeable = lengths.flags.writeable = False
+    return _GapTable(table, lengths, lmax, max(int(t.sizes.max()) for t in library))
 
 
-def _gap_sums(gaps, w, tr, offs, ends):
+# Gap tables by (library, window), least recently used first.  The keys keep
+# their traces alive, so the entry count is bounded as well as the bytes.
+_MEMO_BYTES = 16 << 20  # gap-table bytes kept; a larger table is not kept
+_MEMO_ENTRIES = 32
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _library_gaps(library, w) -> _GapTable:
+    """`_gap_table(library, w)`, built once and shared while it stays in the
+    memo; libraries are keyed by value, so an equal library shares it."""
+    key = (tuple(library), w)
+    with _memo_lock:
+        table = _memo.get(key)
+        if table is not None:
+            _memo.move_to_end(key)
+            return table
+    table = _gap_table(library, w)
+    if table.gaps.nbytes <= _MEMO_BYTES:
+        with _memo_lock:
+            _memo[key] = table
+            while (len(_memo) > _MEMO_ENTRIES
+                   or sum(t.gaps.nbytes for t in _memo.values()) > _MEMO_BYTES):
+                _memo.popitem(last=False)
+    return table
+
+
+def _gap_sums(gaps, tr, offs, first):
     """Each run's sum of its flows' gaps, gathered by one flat take from the
     periodic rows: a start offset plus the window's first slot is at most
-    L + Lmax - 2, inside the row, so no index wraps."""
-    idx = tr * gaps.shape[1]
-    idx += offs
-    idx += (ends - (w - 1))[:, None]
-    return gaps.take(idx).sum(axis=1)
+    L + Lmax - 2, inside the row, so no index wraps.  The flat index is built
+    in place in `tr`."""
+    tr *= gaps.shape[1]
+    tr += offs
+    tr += first[:, None]
+    return gaps.take(tr).sum(axis=1)
 
 
-def _rep_probability(library, table, n, w, runs, seed) -> float:
-    gaps, _ = table
+def _rep_probability(table, n, runs, seed) -> float:
     rng = np.random.Generator(np.random.PCG64(seed))
     # batches bound the memory of large runs; the draw order is unchanged
     batch = max(1, _BATCH_FLOWS // max(n, 1))
     hits = 0
     for done in range(0, runs, batch):
-        tr, offs, ends = draw_scenarios(rng, library, n, w, min(batch, runs - done))
+        tr, offs, first = _draw(rng, n, min(batch, runs - done),
+                                table.lengths, table.lmax)
         # exact in int64, so ties (the CBR case) never count
-        hits += int(np.count_nonzero(_gap_sums(gaps, w, tr, offs, ends) < 0))
+        hits += int(np.count_nonzero(_gap_sums(table.gaps, tr, offs, first) < 0))
     return hits / runs
 
 
 def _probability_scenario(cfg, library, n, w, scenario_seed) -> MeanWithCI:
-    max_frame = max(int(t.sizes.max()) for t in library)
+    table = _library_gaps(library, w)
     # a gap is at most w * max_frame bytes either way, so this bounds the sums
-    if n * w * max_frame > INT64_MAX:
-        raise ByteOverflow(f"{n} flows x {w} slots x {max_frame} bytes exceeds int64")
-    table = _gap_table(library, w)
+    if n * w * table.max_frame > INT64_MAX:
+        raise ByteOverflow(
+            f"{n} flows x {w} slots x {table.max_frame} bytes exceeds int64")
     values = [
-        _rep_probability(library, table, n, w, cfg.runs_per_rep,
+        _rep_probability(table, n, cfg.runs_per_rep,
                          derive_run_seed(scenario_seed, rep, 0))
         for rep in range(cfg.reps)
     ]
@@ -229,6 +285,7 @@ def run_rate_timeseries(
 ) -> TimeSeriesResult:
     """One fixed random flow set, per-slot instantaneous aggregate and
     sliding-window average for every slot where the window fits."""
+    check_settings(flow_counts=(flow_count,))
     w = cfg.window_slots
     if duration_slots < w:
         raise InsufficientHistory(
@@ -252,6 +309,7 @@ def run_burstiness_table(
     one fixed scenario per flow count."""
     from .stats import coefficient_of_variation, peak_to_mean
 
+    check_settings(flow_counts=flow_counts)
     rows = []
     for idx, n in enumerate(flow_counts):
         seed = derive_run_seed(cfg.master_seed, idx, 1)
@@ -275,6 +333,7 @@ def run_window_sweep(
     cfg: ExperimentConfig, flow_count: int, window_list: Sequence[int]
 ) -> tuple[tuple[int, MeanWithCI], ...]:
     """Probability sweep at a fixed flow count across window lengths."""
+    check_settings(flow_counts=(flow_count,))
     shortest = min(len(t) for t in cfg.trace_library)
     for w in window_list:
         if w < 1:
@@ -296,6 +355,7 @@ def run_content_comparison(
     flow_counts: Sequence[int],
 ) -> tuple[tuple[ContentClass, int, MeanWithCI], ...]:
     """Probability sweep restricted to each content class in turn."""
+    check_settings(flow_counts=flow_counts)
     rows = []
     for content_class in classes:
         sub = tuple(

@@ -59,8 +59,9 @@ class VideoTrace:
     `sizes` (bytes per frame) and `indices` are read-only int64 arrays and
     `frame_types` holds one character of "IPB?" per frame.  Without
     `indices` the frames are numbered 0, 1, 2, ...; without `frame_types`
-    every type is unknown ("?").  Equality and hashing are by value; a copy
-    or an unpickled trace is rebuilt from the columns.
+    every type is unknown ("?").  Equality and hashing are by value, and the
+    hash is computed once, when the trace is built; a copy or an unpickled
+    trace is rebuilt from the columns.
     """
 
     id: str
@@ -73,6 +74,8 @@ class VideoTrace:
     # doubled prefix sum of `sizes` for O(1) wrapped window sums, as a
     # read-only int64 memoryview: indexing it gives Python ints
     _cum2: memoryview = field(init=False, repr=False)
+    # the by-value hash, computed once: hashing the columns reads every byte
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -121,6 +124,10 @@ class VideoTrace:
             ("frame_types", frame_types),
         ):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((
+            self.id, self.fps, self.content_class, frame_types,
+            sizes.tobytes(), indices.tobytes(),
+        )))
 
     def __reduce__(self):
         return VideoTrace, (
@@ -139,10 +146,7 @@ class VideoTrace:
         )
 
     def __hash__(self):
-        return hash((
-            self.id, self.fps, self.content_class, self.frame_types,
-            self.sizes.tobytes(), self.indices.tobytes(),
-        ))
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -367,21 +371,26 @@ def synth_onoff_trace(
     if length <= 0:
         raise ValueError(f"length must be positive, got {length}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    # one block of uniforms, taken in the order of one scalar draw per test:
+    # a slot makes at most three (quiet switch, dip, noise)
+    draws = iter(rng.random(3 * length).tolist())
     factor = BITS_PER_BYTE * fps
-    sizes = np.empty(length, dtype=np.int64)
+    # `rng.uniform(lo, hi)` is lo + (hi - lo) * u
+    lo, hi = 1.0 - noise, 1.0 + noise
+    sizes = []
     quiet = False
-    for k in range(length):
+    for _ in range(length):
         if quiet:
-            if rng.random() < quiet_exit:
+            if next(draws) < quiet_exit:
                 quiet = False
-        elif rng.random() < quiet_enter:
+        elif next(draws) < quiet_enter:
             quiet = True
         level = base_rate * quiet_factor if quiet else base_rate
-        if not quiet and dip_prob and rng.random() < dip_prob:
+        if not quiet and dip_prob and next(draws) < dip_prob:
             level = base_rate * dip_factor
         if noise:
-            level *= rng.uniform(1.0 - noise, 1.0 + noise)
-        sizes[k] = int(level / factor)
+            level *= lo + (hi - lo) * next(draws)
+        sizes.append(int(level / factor))
     return VideoTrace(
         id=trace_id, sizes=sizes, fps=fps, content_class=content_class
     )

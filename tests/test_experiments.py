@@ -2,6 +2,7 @@
 
 import pytest
 
+from vmac import experiments
 from vmac.errors import ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
 from vmac.experiments import (
     ExperimentConfig,
@@ -236,3 +237,25 @@ def test_probabilities_within_unit_interval(bursty_lib):
     for _, ci in run_probability_sweep(cfg).rows:
         assert 0.0 <= ci.mean <= 1.0
         assert ci.ci_half_width >= 0.0
+
+
+# -- flow counts below 1 -------------------------------------------------------------
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("drew a scenario before checking the flow counts")
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda cfg, n: run_window_sweep(cfg, n, (2, 5)),
+    lambda cfg, n: run_content_comparison(cfg, (ContentClass.UNKNOWN,), (5, n)),
+    lambda cfg, n: run_rate_timeseries(cfg, n, 50, seed=1),
+    lambda cfg, n: run_burstiness_table(cfg, (5, n), duration_slots=50),
+], ids=["window_sweep", "content_comparison", "rate_timeseries", "burstiness_table"])
+def test_flow_counts_below_one_rejected_before_any_draw(cbr_library, monkeypatch,
+                                                        call, bad):
+    cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
+    monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
+    monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
+    with pytest.raises(ValueError, match="flow counts must be >= 1"):
+        call(cfg, bad)

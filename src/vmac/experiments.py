@@ -12,14 +12,13 @@ aggregate rate is strictly below the instantaneous aggregate rate at the
 decision instant; per repetition it is estimated over `runs_per_rep` runs
 in one batched gather, and the sweep reports mean plus confidence interval
 over `reps` repetitions.  The gap table the gather reads depends only on
-the library and window, so it is built once and kept in a bounded memo.
+the library and window, so a sweep builds it once for all the scenarios
+that share them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -168,22 +167,30 @@ def draw_flow_set(
 
 @dataclass(frozen=True)
 class _GapTable:
-    """What a scenario over one library and window needs that depends on
-    neither the flow count nor the seed; every array is read-only."""
+    """What the scenarios over one library and window share: everything but
+    the flow count and the seed; both arrays are read-only."""
 
     gaps: np.ndarray  # (traces, width) int64 periodic gap rows
     lengths: np.ndarray  # float64 trace lengths, as `_draw` takes them
     lmax: int  # the longest trace's length
-    max_frame: int  # the largest frame size, in bytes
 
 
-def _gap_table(library, w) -> _GapTable:
+def _gap_table(library, w, flows) -> _GapTable:
     """Per trace, the gap D = window bytes - w * last-slot bytes of the
     `w`-slot window at every start.  Each int64 row holds its trace's gaps
     repeated periodically to the common width 2 * Lmax - 1, so row[s] is the
     gap at start s % L for any s in a row.  A run's average is below its
     instantaneous rate exactly when its flows' gaps sum below 0; over one
-    period each row sums to 0."""
+    period each row sums to 0.  Raises ByteOverflow, before building, when a
+    sum of `flows` gaps could exceed int64."""
+    # a gap is at most w * max_frame bytes either way, so this bounds the
+    # sums; the scan for max_frame only runs when the largest trace total,
+    # which bounds it and is read from the prefix sum, cannot rule it out
+    if flows * w * max(t._cum2[len(t)] for t in library) > INT64_MAX:
+        max_frame = max(int(t.sizes.max()) for t in library)
+        if flows * w * max_frame > INT64_MAX:
+            raise ByteOverflow(
+                f"{flows} flows x {w} slots x {max_frame} bytes exceeds int64")
     lengths = np.array([len(t) for t in library], dtype=np.float64)
     lmax = max(len(t) for t in library)
     table = np.empty((len(library), 2 * lmax - 1), dtype=np.int64)
@@ -202,45 +209,18 @@ def _gap_table(library, w) -> _GapTable:
             row[m:m + k] = row[:k]
             m += k
     table.flags.writeable = lengths.flags.writeable = False
-    return _GapTable(table, lengths, lmax, max(int(t.sizes.max()) for t in library))
+    return _GapTable(table, lengths, lmax)
 
 
-# Gap tables by (library, window), least recently used first.  The keys keep
-# their traces alive, so the entry count is bounded as well as the bytes.
-_MEMO_BYTES = 16 << 20  # gap-table bytes kept; a larger table is not kept
-_MEMO_ENTRIES = 32
-_memo: OrderedDict = OrderedDict()
-_memo_lock = threading.Lock()
-
-
-def _library_gaps(library, w) -> _GapTable:
-    """`_gap_table(library, w)`, built once and shared while it stays in the
-    memo; libraries are keyed by value, so an equal library shares it."""
-    key = (tuple(library), w)
-    with _memo_lock:
-        table = _memo.get(key)
-        if table is not None:
-            _memo.move_to_end(key)
-            return table
-    table = _gap_table(library, w)
-    if table.gaps.nbytes <= _MEMO_BYTES:
-        with _memo_lock:
-            _memo[key] = table
-            while (len(_memo) > _MEMO_ENTRIES
-                   or sum(t.gaps.nbytes for t in _memo.values()) > _MEMO_BYTES):
-                _memo.popitem(last=False)
-    return table
-
-
-def _gap_sums(gaps, tr, offs, first):
+def _gap_sums(gaps, idx, offs, first):
     """Each run's sum of its flows' gaps, gathered by one flat take from the
     periodic rows: a start offset plus the window's first slot is at most
-    L + Lmax - 2, inside the row, so no index wraps.  The flat index is built
-    in place in `tr`."""
-    tr *= gaps.shape[1]
-    tr += offs
-    tr += first[:, None]
-    return gaps.take(tr).sum(axis=1)
+    L + Lmax - 2, inside the row, so no index wraps.  `idx` holds the flows'
+    trace indices and is overwritten with the flat index."""
+    idx *= gaps.shape[1]
+    idx += offs
+    idx += first[:, None]
+    return gaps.take(idx).sum(axis=1)
 
 
 def _rep_probability(table, n, runs, seed) -> float:
@@ -256,12 +236,7 @@ def _rep_probability(table, n, runs, seed) -> float:
     return hits / runs
 
 
-def _probability_scenario(cfg, library, n, w, scenario_seed) -> MeanWithCI:
-    table = _library_gaps(library, w)
-    # a gap is at most w * max_frame bytes either way, so this bounds the sums
-    if n * w * table.max_frame > INT64_MAX:
-        raise ByteOverflow(
-            f"{n} flows x {w} slots x {table.max_frame} bytes exceeds int64")
+def _probability_scenario(cfg, table, n, scenario_seed) -> MeanWithCI:
     values = [
         _rep_probability(table, n, cfg.runs_per_rep,
                          derive_run_seed(scenario_seed, rep, 0))
@@ -273,8 +248,10 @@ def _probability_scenario(cfg, library, n, w, scenario_seed) -> MeanWithCI:
 def run_probability_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Probability that the windowed average is below the instantaneous rate,
     per flow count, with mean and confidence interval over repetitions."""
+    table = _gap_table(cfg.trace_library, cfg.window_slots,
+                       max(cfg.flow_counts, default=1))
     return SweepResult(rows=tuple(
-        (n, _probability_scenario(cfg, cfg.trace_library, n, cfg.window_slots,
+        (n, _probability_scenario(cfg, table, n,
                                   derive_run_seed(cfg.master_seed, idx, 0)))
         for idx, n in enumerate(cfg.flow_counts)
     ))
@@ -343,8 +320,8 @@ def run_window_sweep(
                 f"window of {w} slots exceeds shortest trace ({shortest} slots)"
             )
     return tuple(
-        (w, _probability_scenario(cfg, cfg.trace_library, flow_count, w,
-                                  derive_run_seed(cfg.master_seed, idx, 2)))
+        (w, _probability_scenario(cfg, _gap_table(cfg.trace_library, w, flow_count),
+                                  flow_count, derive_run_seed(cfg.master_seed, idx, 2)))
         for idx, w in enumerate(window_list)
     )
 
@@ -363,10 +340,11 @@ def run_content_comparison(
         )
         if not sub:
             raise ClassMissing(content_class)
+        table = _gap_table(sub, cfg.window_slots, max(flow_counts, default=1))
         for n in flow_counts:
             scenario_seed = derive_run_seed(cfg.master_seed, len(rows), 3)
             rows.append((content_class, n, _probability_scenario(
-                cfg, sub, n, cfg.window_slots, scenario_seed)))
+                cfg, table, n, scenario_seed)))
     return tuple(rows)
 
 

@@ -59,9 +59,8 @@ class VideoTrace:
     `sizes` (bytes per frame) and `indices` are read-only int64 arrays and
     `frame_types` holds one character of "IPB?" per frame.  Without
     `indices` the frames are numbered 0, 1, 2, ...; without `frame_types`
-    every type is unknown ("?").  Equality and hashing are by value, and the
-    hash is computed once, when the trace is built; a copy or an unpickled
-    trace is rebuilt from the columns.
+    every type is unknown ("?").  Equality and hashing are by value; a copy
+    or an unpickled trace is rebuilt from the columns.
     """
 
     id: str
@@ -74,8 +73,6 @@ class VideoTrace:
     # doubled prefix sum of `sizes` for O(1) wrapped window sums, as a
     # read-only int64 memoryview: indexing it gives Python ints
     _cum2: memoryview = field(init=False, repr=False)
-    # the by-value hash, computed once: hashing the columns reads every byte
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -124,10 +121,6 @@ class VideoTrace:
             ("frame_types", frame_types),
         ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", hash((
-            self.id, self.fps, self.content_class, frame_types,
-            sizes.tobytes(), indices.tobytes(),
-        )))
 
     def __reduce__(self):
         return VideoTrace, (
@@ -146,7 +139,10 @@ class VideoTrace:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((
+            self.id, self.fps, self.content_class, self.frame_types,
+            self.sizes.tobytes(), self.indices.tobytes(),
+        ))
 
     def __len__(self) -> int:
         return len(self.sizes)

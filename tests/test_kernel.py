@@ -4,10 +4,6 @@ rate-series helper, checked against the per-quantity reference in
 which sum each flow's bytes from `sizes`, independently of the prefix sum
 that `rate_sample` and the gap table read."""
 
-import sys
-import threading
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +17,9 @@ from vmac.experiments import (
     _gap_table,
     _rep_probability,
     draw_scenarios,
+    run_content_comparison,
     run_probability_sweep,
+    run_window_sweep,
 )
 from vmac.rate_engine import (
     MeasurementWindow,
@@ -29,7 +27,7 @@ from vmac.rate_engine import (
     average_aggregate_rate,
     instantaneous_aggregate_rate,
 )
-from vmac.trace_model import FlowInstance, VideoTrace, parse_trace_file, serialize_trace
+from vmac.trace_model import FlowInstance
 
 from .conftest import make_trace
 
@@ -55,7 +53,7 @@ def scenario_flows(library, tr_row, offs_row):
 
 def run_gaps(library, w, tr, offs, ends):
     """Each run's gap sum, gathered from the gap table as the kernel does."""
-    table = _gap_table(library, w)
+    table = _gap_table(library, w, tr.shape[1])
     start = (offs + (ends - (w - 1))[:, None]) % table.lengths.astype(np.int64)[tr]
     return table.gaps[tr, start].sum(axis=1)
 
@@ -73,12 +71,12 @@ def reference_gap(flows, end, w):
 @given(library=libraries)
 def test_gap_table_rows_match_brute_force(library):
     for w in range(1, min(len(t) for t in library) + 1):
-        table = _gap_table(library, w)
+        table = _gap_table(library, w, 1)
         gaps, lengths = table.gaps, table.lengths
         assert gaps.dtype == np.int64
+        assert not (gaps.flags.writeable or lengths.flags.writeable)
         assert lengths.tolist() == [len(t) for t in library]
         assert table.lmax == max(lengths)
-        assert table.max_frame == max(max(t.sizes) for t in library)
         assert gaps.shape == (len(library), 2 * max(lengths) - 1)
         for row, trace in zip(gaps, library):
             sizes, n = trace.sizes.tolist(), len(trace)
@@ -96,7 +94,7 @@ def test_gap_table_rows_match_brute_force(library):
 
 def test_gap_table_of_cbr_is_zero(cbr_library):
     for w in (1, 5, 50):
-        assert not _gap_table(cbr_library, w).gaps.any()
+        assert not _gap_table(cbr_library, w, 1).gaps.any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,7 +120,7 @@ def test_batched_runs_match_per_quantity_rates(library, n, w_frac, runs, seed):
         assert (gap[r] < 0) == (average < instantaneous)
     # the kernel's flat take gives the same sums, draws the same runs and
     # counts the same verdicts
-    table = _gap_table(library, w)
+    table = _gap_table(library, w, n)
     first = ends - (w - 1)
     assert np.array_equal(_gap_sums(table.gaps, tr, offs, first), gap)
     assert _rep_probability(table, n, runs, seed) == (
@@ -141,7 +139,7 @@ def test_flat_take_matches_modulo_at_every_start(short, w):
              for o in range(len(trace)) for e in range(longest)]
     tr, offs, e = (np.array(col, dtype=np.int64)[:, None] for col in zip(*cases))
     ends = e[:, 0] + w - 1
-    gaps = _gap_table(library, w).gaps
+    gaps = _gap_table(library, w, 1).gaps
     expected = run_gaps(library, w, tr, offs, ends)
     assert np.array_equal(_gap_sums(gaps, tr, offs, e[:, 0]), expected)
     assert int(offs.max() + e.max()) == gaps.shape[1] - 1
@@ -229,7 +227,7 @@ def test_block_draw_equals_run_by_run_draw(library, n, runs, seed):
 
 
 def test_batch_size_does_not_change_probability(bursty_lib, monkeypatch):
-    table = _gap_table(bursty_lib, 25)
+    table = _gap_table(bursty_lib, 25, 5)
     expected = _rep_probability(table, 5, 200, seed=3)
     monkeypatch.setattr(experiments, "_BATCH_FLOWS", 7)
     assert _rep_probability(table, 5, 200, seed=3) == expected
@@ -262,121 +260,30 @@ def test_kernel_refuses_sums_beyond_int64():
         ))
 
 
-# -- the gap-table memo ------------------------------------------------------------
-
-@pytest.fixture
-def memo(monkeypatch):
-    """An empty memo for one test, so its entries start cold."""
-    fresh = OrderedDict()
-    monkeypatch.setattr(experiments, "_memo", fresh)
-    return fresh
-
-
-def sweep(library, w=5, flow_counts=(2, 40)):
-    return run_probability_sweep(ExperimentConfig(
-        trace_library=library, flow_counts=flow_counts, window_slots=w,
-        runs_per_rep=60, reps=3, master_seed=11,
-    )).rows
+def test_gap_table_refuses_a_window_beyond_int64():
+    # eight slots of the 2^60-byte frame exceed int64, so no table for
+    # w = 8 can be built, even for one flow and beside a small-frame trace
+    library = (make_trace(range(1, 9)), make_trace([2 ** 60] + [1] * 7))
+    _gap_table(library, 7, 1)
+    with pytest.raises(ByteOverflow):
+        _gap_table(library, 8, 1)
 
 
-def test_sweep_is_the_same_cold_warm_and_interleaved(bursty_lib, cbr_library, memo):
-    cold = sweep(bursty_lib)
-    assert (tuple(bursty_lib), 5) in memo
-    assert sweep(bursty_lib) == cold
-    for w in (2, 25):
-        sweep(bursty_lib, w)
-    sweep(cbr_library)
-    sweep(bursty_lib[:3])
-    assert sweep(bursty_lib) == cold
-    assert np.array_equal(memo[tuple(bursty_lib), 5].gaps,
-                          _gap_table(bursty_lib, 5).gaps)
+def test_each_sweep_builds_one_table_per_library_and_window(bursty_lib, monkeypatch):
+    built = []
 
+    def counted(library, w, flows):
+        built.append((len(library), w, flows))
+        return _gap_table(library, w, flows)
 
-def test_memoized_table_is_read_only(bursty_lib, memo):
-    table = experiments._library_gaps(bursty_lib, 5)
-    assert experiments._library_gaps(bursty_lib, 5) is table
-    for column in (table.gaps, table.lengths):
-        with pytest.raises(ValueError):
-            column[0] = 0
-
-
-def test_value_equal_library_shares_the_table(bursty_lib, memo, tmp_path):
-    for trace in bursty_lib:
-        serialize_trace(trace, tmp_path / f"{trace.id}.txt")
-    reparsed = tuple(parse_trace_file(tmp_path / f"{t.id}.txt") for t in bursty_lib)
-    assert reparsed == bursty_lib
-    assert all(a is not b for a, b in zip(reparsed, bursty_lib))
-    assert sweep(reparsed) == sweep(bursty_lib)
-    assert len(memo) == 1
-
-
-def test_changed_frame_size_gets_its_own_table(bursty_lib, memo):
-    first = bursty_lib[0]
-    sizes = first.sizes.copy()
-    sizes[100] += 1
-    changed = (VideoTrace(id=first.id, sizes=sizes, fps=first.fps,
-                          content_class=first.content_class),) + bursty_lib[1:]
-    assert [t.id for t in changed] == [t.id for t in bursty_lib]
-    original = experiments._library_gaps(bursty_lib, 5)
-    table = experiments._library_gaps(changed, 5)
-    assert table is not original and len(memo) == 2
-    assert np.array_equal(table.gaps, _gap_table(changed, 5).gaps)
-    assert not np.array_equal(table.gaps, original.gaps)
-
-
-def test_table_over_the_budget_is_not_kept(bursty_lib, cbr_library, memo,
-                                           monkeypatch):
-    big = _gap_table(bursty_lib, 5).gaps.nbytes
-    small = experiments._library_gaps(cbr_library, 5).gaps.nbytes
-    monkeypatch.setattr(experiments, "_MEMO_BYTES", big - 1)
-    expected = sweep(bursty_lib)
-    # the big table is used and not kept, and it evicts nothing
-    assert list(memo) == [(cbr_library, 5)]
-    assert sweep(bursty_lib) == expected
-    once = experiments._library_gaps(bursty_lib, 5)
-    assert experiments._library_gaps(bursty_lib, 5) is not once
-    # within the budget, the least recently used table goes first
-    monkeypatch.setattr(experiments, "_MEMO_BYTES", 2 * small)
-    memo.clear()
-    for w in (2, 3, 2, 4):
-        experiments._library_gaps(cbr_library, w)
-    assert list(memo) == [(cbr_library, 2), (cbr_library, 4)]
-    assert sum(t.gaps.nbytes for t in memo.values()) <= 2 * small
-
-
-def test_memo_entry_count_is_bounded(cbr_library, memo, monkeypatch):
-    monkeypatch.setattr(experiments, "_MEMO_ENTRIES", 3)
-    for w in range(1, 8):
-        experiments._library_gaps(cbr_library, w)
-    assert list(memo) == [(cbr_library, w) for w in (5, 6, 7)]
-
-
-def test_memo_stays_consistent_across_threads(cbr_library, bursty_lib, memo,
-                                              monkeypatch):
-    # a small entry cap makes the threads evict each other's tables
-    monkeypatch.setattr(experiments, "_MEMO_ENTRIES", 3)
-    keys = [(lib, w) for lib in (cbr_library, bursty_lib[:2]) for w in (1, 2, 3, 4)]
-    want = {key: _gap_table(*key).gaps for key in keys}
-    errors = []
-
-    def work(k):
-        try:
-            for i in range(1000):
-                key = keys[(k + i) % len(keys)]
-                if not np.array_equal(experiments._library_gaps(*key).gaps, want[key]):
-                    errors.append(key)
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == [] and len(memo) <= 3
+    monkeypatch.setattr(experiments, "_gap_table", counted)
+    cfg = ExperimentConfig(trace_library=bursty_lib, flow_counts=(2, 40, 5),
+                           runs_per_rep=10, reps=2)
+    run_probability_sweep(cfg)
+    assert built == [(10, 5, 40)]
+    built.clear()
+    run_content_comparison(cfg, (bursty_lib[0].content_class,), (2, 40, 5))
+    assert built == [(10, 5, 40)]
+    built.clear()
+    run_window_sweep(cfg, 5, (2, 25))
+    assert built == [(10, 2, 5), (10, 25, 5)]

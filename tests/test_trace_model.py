@@ -394,7 +394,7 @@ def test_pickle_and_deepcopy_round_trip():
     window = MeasurementWindow(9, 6)
     for clone in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
         assert clone == trace and hash(clone) == hash(trace)
-        # the hash is computed once per trace, and a copy computes its own
+        # a shallow copy is rebuilt from the columns too
         assert hash(copy.copy(clone)) == hash(trace)
         assert not (clone.sizes.flags.writeable or clone.indices.flags.writeable)
         assert clone.window_bytes(3, 9) == trace.window_bytes(3, 9)

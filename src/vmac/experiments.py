@@ -85,13 +85,16 @@ class ExperimentConfig:
             )
 
 
-def check_settings(*, flow_counts=(), window_slots=1, runs_per_rep=1, reps=2,
+def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
                    confidence=0.5, workers=1) -> None:
     """The `ExperimentConfig` checks that read no trace, so that a caller can
     refuse a bad setting before it loads any; a setting not given passes.
     Raises ValueError."""
-    if any(n < 1 for n in flow_counts):
-        raise ValueError("flow counts must be >= 1")
+    if flow_counts is not None:
+        if not flow_counts:
+            raise ValueError("flow counts must not be empty")
+        if min(flow_counts) < 1:
+            raise ValueError("flow counts must be >= 1")
     for name, value in (("window_slots", window_slots),
                         ("runs_per_rep", runs_per_rep), ("workers", workers)):
         if value < 1:
@@ -248,8 +251,7 @@ def _probability_scenario(cfg, table, n, scenario_seed) -> MeanWithCI:
 def run_probability_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Probability that the windowed average is below the instantaneous rate,
     per flow count, with mean and confidence interval over repetitions."""
-    table = _gap_table(cfg.trace_library, cfg.window_slots,
-                       max(cfg.flow_counts, default=1))
+    table = _gap_table(cfg.trace_library, cfg.window_slots, max(cfg.flow_counts))
     return SweepResult(rows=tuple(
         (n, _probability_scenario(cfg, table, n,
                                   derive_run_seed(cfg.master_seed, idx, 0)))
@@ -340,7 +342,7 @@ def run_content_comparison(
         )
         if not sub:
             raise ClassMissing(content_class)
-        table = _gap_table(sub, cfg.window_slots, max(flow_counts, default=1))
+        table = _gap_table(sub, cfg.window_slots, max(flow_counts))
         for n in flow_counts:
             scenario_seed = derive_run_seed(cfg.master_seed, len(rows), 3)
             rows.append((content_class, n, _probability_scenario(

@@ -113,18 +113,25 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
     prefix sum; the bytes and rates equal `instantaneous_aggregate_rate` and
     `average_aggregate_rate` exactly, for any window length.
     """
-    fps = _shared_fps(flows) if flows else 0.0
+    fps = flows[0].trace.fps if flows else 0.0
     w = window.length_slots
     first = window.start_slot
-    inst = win = 0
+    inst = win = size = 0
     for f in flows:
-        c = f.trace._cum2
-        n = len(c) >> 1  # the trace length
-        # the window is `whole` full periods plus `last + 1` slots from s
-        whole, last = divmod(w - 1, n)
+        trace = f.trace
+        if trace.fps != fps:
+            _shared_fps(flows)  # raises MixedFps
+        c = trace._cum2
+        if len(c) != size:  # a new trace length: 2n + 1 prefix sums
+            size = len(c)
+            n = size >> 1
+            # the window is `whole` full periods plus `last + 1` slots from s
+            whole, last = divmod(w - 1, n)
         s = (f.start_offset + first) % n
         hi = c[s + last + 1]
-        win += whole * c[n] + hi - c[s]
+        if whole:
+            win += whole * c[n]
+        win += hi - c[s]
         inst += hi - c[s + last]
     return RateSample(
         instantaneous=inst * BITS_PER_BYTE * fps,

@@ -151,10 +151,6 @@ class VideoTrace:
         """Byte size of the frame occupying `slot` (wrapping)."""
         return int(self.sizes[slot % len(self.sizes)])
 
-    def rate_at(self, slot: int) -> float:
-        """Rate in bits/s of the frame occupying `slot` (wrapping)."""
-        return self.size_at(slot) * BITS_PER_BYTE * self.fps
-
     def window_bytes(self, start_slot: int, count: int) -> int:
         """Sum of frame sizes over `count` consecutive slots from `start_slot`,
         wrapping modulo the trace length: whole periods of the trace total

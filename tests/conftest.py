@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from vmac.experiments import bursty_library
-from vmac.trace_model import VideoTrace
+from vmac.trace_model import BITS_PER_BYTE, VideoTrace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRACES_DIR = REPO_ROOT / "traces"
@@ -20,9 +20,14 @@ def make_trace(sizes, fps=30.0, trace_id="t", content_class=None):
     )
 
 
+def rate_at(trace, slot):
+    """Rate in bits/s of the frame occupying `slot` of a trace (wrapping)."""
+    return trace.size_at(slot) * BITS_PER_BYTE * trace.fps
+
+
 def flow_rate_at(flow, slot):
     """Instantaneous rate of one flow at a frame slot, in bits/s."""
-    return flow.trace.rate_at(flow.start_offset + slot)
+    return rate_at(flow.trace, flow.start_offset + slot)
 
 
 @pytest.fixture(scope="session")

@@ -244,11 +244,12 @@ TRACE_COMMANDS = {
         (["--flows", "0"], None, EXIT_USAGE),
         (["--flows", "-1"], None, EXIT_USAGE),
         (["--flows", "2,x"], None, EXIT_USAGE),
+        (["--flows", ""], None, EXIT_USAGE),
         (["--flows", "2", "--seed", "-1"], None, EXIT_USAGE),
         (["--flows", "2"], "-1", EXIT_USAGE),
         (["--flows", "2", "--seed", "0"], "-1", EXIT_DATA),
     ],
-    ids=["flows-0", "flows-negative", "flows-not-int", "seed-negative",
+    ids=["flows-0", "flows-negative", "flows-not-int", "flows-empty", "seed-negative",
          "env-seed-negative", "valid-flags"],
 )
 def test_flows_and_seed_checked_before_traces_load(

@@ -259,3 +259,16 @@ def test_flow_counts_below_one_rejected_before_any_draw(cbr_library, monkeypatch
     monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
     with pytest.raises(ValueError, match="flow counts must be >= 1"):
         call(cfg, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: ExperimentConfig(trace_library=cfg.trace_library, flow_counts=()),
+    lambda cfg: run_content_comparison(cfg, (ContentClass.UNKNOWN,), ()),
+    lambda cfg: run_burstiness_table(cfg, (), duration_slots=50),
+], ids=["config", "content_comparison", "burstiness_table"])
+def test_empty_flow_counts_rejected_before_any_draw(cbr_library, monkeypatch, call):
+    cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
+    monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
+    monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
+    with pytest.raises(ValueError, match="flow counts must not be empty"):
+        call(cfg)

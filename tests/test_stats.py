@@ -6,11 +6,15 @@ import subprocess
 import sys
 
 import pytest
+# imported up front so that no hypothesis example pays the one-off import
+# of scipy.special, which an untabulated interval triggers, in its deadline
+import scipy.special  # noqa: F401
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vmac.errors import TooShort, ZeroMean
 from vmac.stats import (
+    _T_QUANTILE_95,
     coefficient_of_variation,
     mean_and_ci,
     peak_to_mean,
@@ -142,19 +146,53 @@ def test_quantile_matches_scipy_stats_bit_for_bit():
     assert float(stdtrit(4, 0.975)) == 2.7764451051977934
 
 
-def test_import_and_parse_leave_scipy_unloaded():
-    code = (
-        "import sys, pathlib, vmac\n"
-        "for p in sorted(pathlib.Path(sys.argv[1]).glob('*.txt')):\n"
-        "    vmac.parse_trace_file(p)\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy'\n"
-        "vmac.mean_and_ci([0.25, 0.5, 0.75])\n"
-        "assert 'scipy.special' in sys.modules\n"
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats'\n"
-    )
+def test_tabulated_quantiles_equal_stdtrit_bit_for_bit():
+    from scipy.special import stdtrit
+
+    assert sorted(_T_QUANTILE_95) == list(range(1, 61))
+    for df, quantile in _T_QUANTILE_95.items():
+        assert quantile == float(stdtrit(df, (1.0 + 0.95) / 2.0)), df
+
+
+def run_child(code, *args):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     child = subprocess.run(
-        [sys.executable, "-c", code, str(TRACES_DIR / "bursty")],
+        [sys.executable, "-c", code, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr
+
+
+NO_SCIPY = "not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_import_and_parse_leave_scipy_unloaded():
+    # a tabulated interval (df 2 at 0.95) loads no scipy; an untabulated one
+    # (0.9) loads scipy.special for its quantile, never scipy.stats
+    run_child(
+        "import sys, pathlib, vmac\n"
+        "for p in sorted(pathlib.Path(sys.argv[1]).glob('*.txt')):\n"
+        "    vmac.parse_trace_file(p)\n"
+        f"assert {NO_SCIPY}, 'scipy'\n"
+        "vmac.mean_and_ci([0.25, 0.5, 0.75])\n"
+        f"assert {NO_SCIPY}, 'scipy at 0.95'\n"
+        "vmac.mean_and_ci([0.25, 0.5, 0.75], confidence=0.9)\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats'\n",
+        TRACES_DIR / "bursty",
+    )
+
+
+def test_default_sweep_flows_loads_no_scipy(tmp_path):
+    out = tmp_path / "fig1.csv"
+    run_child(
+        "import sys\n"
+        "from vmac import cli\n"
+        "status = cli.main(['sweep-flows', '--traces-dir', sys.argv[1],\n"
+        "                   '--flows', '2,5,10,15,20,30,40', '--seed', '26',\n"
+        "                   '--out', sys.argv[2]])\n"
+        "assert status == 0, status\n"
+        f"assert {NO_SCIPY}, sorted(m for m in sys.modules if 'scipy' in m)\n",
+        TRACES_DIR / "bursty", out,
+    )
+    assert len(out.read_text().splitlines()) == 8

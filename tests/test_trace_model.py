@@ -36,7 +36,7 @@ from vmac.trace_model import (
     synth_onoff_trace,
 )
 
-from .conftest import flow_rate_at, make_trace
+from .conftest import flow_rate_at, make_trace, rate_at
 
 
 # -- parsing ------------------------------------------------------------------
@@ -46,7 +46,7 @@ def test_parse_terse_format_with_override(tmp_path):
     p.write_text("1000\n2000\n3000\n")
     trace = parse_trace_file(p, fps_override=30)
     assert len(trace) == 3
-    rates = [trace.rate_at(k) / MBPS for k in range(3)]
+    rates = [rate_at(trace, k) / MBPS for k in range(3)]
     assert rates == [0.24, 0.48, 0.72]
 
 
@@ -55,7 +55,7 @@ def test_parse_fps_directive_and_zero_sizes(tmp_path):
     p.write_text("# fps=25\n0\n0\n")
     trace = parse_trace_file(p)
     assert trace.fps == 25
-    assert [trace.rate_at(k) for k in range(2)] == [0.0, 0.0]
+    assert [rate_at(trace, k) for k in range(2)] == [0.0, 0.0]
 
 
 def test_parse_three_column_format(tmp_path):
@@ -269,7 +269,7 @@ def test_degenerate_bounds_give_cbr():
     bounds = FlowRateBounds(rate, rate)
     trace = synth_bounded_trace(100, bounds, fps=30.0, seed=1)
     expected = math.floor(rate / (8 * 30.0)) * 8 * 30.0
-    assert all(trace.rate_at(k) == expected for k in range(100))
+    assert all(rate_at(trace, k) == expected for k in range(100))
 
 
 def test_synth_bounded_deterministic():
@@ -284,7 +284,7 @@ def test_synth_bounded_uniform_mean():
     # slots must land inside [1.9, 2.1] Mbps
     bounds = FlowRateBounds(1 * MBPS, 3 * MBPS)
     trace = synth_bounded_trace(10_000, bounds, fps=30.0, seed=7)
-    mean = float(np.mean([trace.rate_at(k) for k in range(len(trace))]))
+    mean = float(np.mean([rate_at(trace, k) for k in range(len(trace))]))
     assert 1.9 * MBPS <= mean <= 2.1 * MBPS
 
 
@@ -307,7 +307,7 @@ def test_synth_bounded_never_exceeds_declared_bounds(lo, width, seed):
     trace = synth_bounded_trace(50, bounds, fps=30.0, seed=seed)
     for k in range(50):
         # floor quantization may land below min_rate, never above max_rate
-        assert trace.rate_at(k) <= bounds.max_rate
+        assert rate_at(trace, k) <= bounds.max_rate
 
 
 def test_bounds_too_tight():

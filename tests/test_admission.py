@@ -1,10 +1,13 @@
 """Admission policy decisions and the quality-class rate table."""
 
+import inspect
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from vmac.admission import (
+    AdmissionDecision,
     AdmissionRequest,
     LinkConfig,
     Policy,
@@ -107,3 +110,25 @@ def test_scaling_invariance(inst, req, cap, k):
         decide_instantaneous(s1, r1, l1).verdict
         is decide_instantaneous(s2, r2, l2).verdict
     )
+
+
+def test_records_keep_field_order_repr_and_immutability():
+    rate = RateSample(1.5, 2.25, MeasurementWindow(9, 5))
+    decision = AdmissionDecision(Verdict.REJECT, 3.0, -0.5, Policy.AVERAGE)
+    assert list(inspect.signature(RateSample).parameters) == [
+        "instantaneous", "average", "window"]
+    assert list(inspect.signature(AdmissionDecision).parameters) == [
+        "verdict", "measured_rate", "headroom", "policy"]
+    assert repr(rate) == (
+        "RateSample(instantaneous=1.5, average=2.25, "
+        "window=MeasurementWindow(end_slot=9, length_slots=5))")
+    assert repr(decision) == (
+        "AdmissionDecision(verdict=<Verdict.REJECT: 'reject'>, "
+        "measured_rate=3.0, headroom=-0.5, policy=<Policy.AVERAGE: 'avg'>)")
+    assert rate == RateSample(instantaneous=1.5, average=2.25,
+                              window=MeasurementWindow(9, 5))
+    for record, field in ((rate, "average"), (decision, "headroom")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.note = "added"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,11 @@ from vmac.bounds import (
     hoeffding_delta,
 )
 from vmac.errors import DegenerateRanges, InsufficientHistory
-from vmac.rate_engine import MeasurementWindow
+from vmac.rate_engine import (
+    MeasurementWindow,
+    average_aggregate_rate,
+    instantaneous_aggregate_rate,
+)
 from vmac.trace_model import (
     MBPS,
     FlowInstance,
@@ -177,3 +182,43 @@ def test_exceedance_never_beats_bound(n, seed, eps):
     measured = empirical_exceedance(flows, window, eps * MBPS, 2000, seed=seed)
     bound = hoeffding_delta(uniform_query(n, eps, 2.0)).delta
     assert measured <= bound
+
+
+def brute_force_exceedance(flows, w, epsilon, samples, seed):
+    """The exceedance fraction counted one pick at a time, from the
+    per-quantity rates at each picked end slot."""
+    horizon = max(len(f.trace) for f in flows)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hits = 0
+    for pick in rng.integers(0, horizon, size=samples).tolist():
+        end = w - 1 + pick
+        inst = instantaneous_aggregate_rate(flows, end)
+        avg = average_aggregate_rate(flows, MeasurementWindow(end, w))
+        hits += inst >= avg + len(flows) * epsilon
+    return hits / samples
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    traces=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+                    min_size=1, max_size=3),
+    picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11)),
+                   min_size=1, max_size=5),
+    fps=st.sampled_from([1.0, 30.0]),
+    w_frac=st.floats(0.0, 1.0),
+    epsilon=st.sampled_from([0.0, 0.1, 2.0, 8.0, 240.0]),
+    samples=st.integers(1, 60),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_exceedance_equals_count_per_pick(traces, picks, fps, w_frac, epsilon,
+                                          samples, seed):
+    # bytes of 0-3 per slot, so inst == avg + n * epsilon is frequent: ties count
+    library = [make_trace(s, fps=fps, trace_id=f"t{i}") for i, s in enumerate(traces)]
+    flows = []
+    for t, o in picks:
+        trace = library[t % len(library)]
+        flows.append(FlowInstance(trace=trace, start_offset=o % len(trace)))
+    w = 1 + int(w_frac * (min(len(f.trace) for f in flows) - 1))
+    window = MeasurementWindow(w - 1, w)
+    assert empirical_exceedance(flows, window, epsilon, samples, seed) == \
+        brute_force_exceedance(flows, w, epsilon, samples, seed)

@@ -3,8 +3,16 @@
 import pytest
 
 from vmac import experiments
-from vmac.errors import ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
+from vmac.errors import (
+    ClassMissing,
+    EmptyLibrary,
+    InsufficientHistory,
+    MixedFps,
+    TooShort,
+    ZeroMean,
+)
 from vmac.experiments import (
+    BurstinessRow,
     ExperimentConfig,
     bursty_library,
     content_library,
@@ -15,7 +23,7 @@ from vmac.experiments import (
     run_rate_timeseries,
     run_window_sweep,
 )
-from vmac.stats import coefficient_of_variation
+from vmac.stats import coefficient_of_variation, peak_to_mean
 from vmac.trace_model import ContentClass
 
 from .conftest import make_trace
@@ -106,6 +114,36 @@ def test_cbr_burstiness_degenerate(cbr_library):
     for row in run_burstiness_table(cfg, (2, 5), duration_slots=100):
         assert row.peak_to_mean == 1.0
         assert row.cov == 0.0
+
+
+@pytest.mark.parametrize("window", [1, 5])
+def test_burstiness_rows_equal_peak_to_mean_and_cov(bursty_lib, window):
+    cfg = ExperimentConfig(trace_library=bursty_lib, window_slots=window,
+                           master_seed=7)
+    counts = (1, 5, 40)
+    want = []
+    for idx, n in enumerate(counts):
+        ts = run_rate_timeseries(cfg, n, 200, derive_run_seed(7, idx, 1))
+        for kind, series in (("instantaneous", ts.instantaneous),
+                             ("average", ts.average)):
+            want.append(BurstinessRow(n, kind, peak_to_mean(series),
+                                      coefficient_of_variation(series)))
+    rows = run_burstiness_table(cfg, counts, duration_slots=200)
+    assert repr(rows) == repr(tuple(want))  # bit for bit
+
+
+def test_burstiness_of_silent_library_is_zero_mean():
+    cfg = ExperimentConfig(trace_library=(make_trace([0] * 20),))
+    with pytest.raises(ZeroMean) as err:
+        run_burstiness_table(cfg, (3,), duration_slots=10)
+    assert str(err.value) == "peak-to-mean needs a positive mean, got 0.0"
+
+
+def test_burstiness_of_one_end_slot_is_too_short(cbr_library):
+    cfg = ExperimentConfig(trace_library=cbr_library)
+    with pytest.raises(TooShort) as err:
+        run_burstiness_table(cfg, (3,), duration_slots=cfg.window_slots)
+    assert str(err.value) == "coefficient of variation needs at least 2 values"
 
 
 def test_cbr_window_sweep_zero(cbr_library):

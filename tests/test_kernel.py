@@ -27,7 +27,7 @@ from vmac.rate_engine import (
     average_aggregate_rate,
     instantaneous_aggregate_rate,
 )
-from vmac.trace_model import FlowInstance
+from vmac.trace_model import BITS_PER_BYTE, FlowInstance
 
 from .conftest import make_trace
 
@@ -208,6 +208,47 @@ def test_rate_series_matches_per_quantity_rates_at_every_slot(
         assert avg[end - w + 1] == average_aggregate_rate(
             flows, MeasurementWindow(end, w)
         )
+
+
+def wrap_gather_series(flows, w, n_slots):
+    """The rate series as first written: each flow's bytes gathered at every
+    slot by ``take(mode="wrap")``, summed, and one cumsum."""
+    fps = flows[0].trace.fps if flows else 0.0
+    slots = np.arange(n_slots)
+    agg = np.zeros(n_slots, dtype=np.int64)
+    for f in flows:
+        agg += np.take(f.trace.sizes, f.start_offset + slots, mode="wrap")
+    cum = np.concatenate([[0], np.cumsum(agg)])
+    inst = agg[w - 1:] * BITS_PER_BYTE * fps
+    avg = (cum[w:] - cum[:-w]) * BITS_PER_BYTE / w * fps
+    return inst, avg
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    short=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=7),
+    long=st.lists(st.integers(0, 10 ** 9), min_size=40, max_size=40),
+    long_offset=st.integers(0, 39),
+    fps=st.sampled_from([1.0, 29.97, 30.0]),
+    w=st.integers(1, 40),
+    n_frac=st.floats(0.0, 1.0),
+)
+def test_rate_series_equals_wrap_gather(short, long, long_offset, fps, w, n_frac):
+    # a 1-7 slot trace beside a 40-slot one, at every offset of the short
+    # one, over 0 to 5 periods of the long one past the first window
+    a = make_trace(short, fps=fps, trace_id="short")
+    b = make_trace(long, fps=fps, trace_id="long")
+    n_slots = w + int(n_frac * (5 * len(b) - w))
+    for offset in range(len(a)):
+        for flows in (
+            [FlowInstance(trace=a, start_offset=offset)],
+            [FlowInstance(trace=a, start_offset=offset),
+             FlowInstance(trace=b, start_offset=long_offset),
+             FlowInstance(trace=a, start_offset=(offset + 1) % len(a))],
+        ):
+            got = aggregate_rate_series(flows, w, n_slots)
+            for g, want in zip(got, wrap_gather_series(flows, w, n_slots)):
+                assert g.dtype == want.dtype and np.array_equal(g, want)
 
 
 def test_rate_series_of_no_flows_is_zero():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rate_engine import RateSample
 from .trace_model import MBPS
@@ -69,8 +70,7 @@ class AdmissionRequest:
         return cls(requested_rate=quality_class_rate(quality))
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
+class AdmissionDecision(NamedTuple):
     verdict: Verdict
     measured_rate: float  # bits/s
     headroom: float  # bits/s, negative on reject
@@ -85,9 +85,7 @@ def _decide(
         Verdict.ADMIT if measured + req.requested_rate <= link.capacity
         else Verdict.REJECT
     )
-    return AdmissionDecision(
-        verdict=verdict, measured_rate=measured, headroom=headroom, policy=policy
-    )
+    return AdmissionDecision(verdict, measured, headroom, policy)
 
 
 def decide_instantaneous(

@@ -84,6 +84,8 @@ def empirical_exceedance(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not flows:
+        raise ValueError("empirical exceedance needs at least one flow")
     w = window.length_slots
     shortest = min(len(f.trace) for f in flows)
     if shortest < w:
@@ -96,5 +98,6 @@ def empirical_exceedance(
     # rates at every valid end slot w-1 .. w-2+horizon; a pick indexes them
     inst, avg = aggregate_rate_series(flows, w, w - 1 + horizon)
     picks = rng.integers(0, horizon, size=samples)
-    hits = int(np.count_nonzero(inst[picks] >= avg[picks] + len(flows) * epsilon))
-    return hits / samples
+    # each slot tested once, however often it is picked
+    exceeds = inst >= avg + len(flows) * epsilon
+    return int(np.count_nonzero(exceeds[picks])) / samples

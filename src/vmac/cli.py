@@ -322,6 +322,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # a size no host can hold, such as --duration 10**18, is a usage
+        # error; a traceback would exit 1, which reads as Reject
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (VmacError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ByteOverflow, ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
 from .rate_engine import aggregate_rate_series
-from .stats import MeanWithCI, mean_and_ci
+from .stats import MeanWithCI, mean_and_ci, peak_to_mean_and_cov
 from .trace_model import (
     INT64_MAX,
     MBPS,
@@ -286,8 +286,6 @@ def run_burstiness_table(
 ) -> tuple[BurstinessRow, ...]:
     """Peak-to-mean ratio and coefficient of variation of both rate series,
     one fixed scenario per flow count."""
-    from .stats import coefficient_of_variation, peak_to_mean
-
     check_settings(flow_counts=flow_counts)
     rows = []
     for idx, n in enumerate(flow_counts):
@@ -297,14 +295,7 @@ def run_burstiness_table(
             ("instantaneous", ts.instantaneous),
             ("average", ts.average),
         ):
-            rows.append(
-                BurstinessRow(
-                    flow_count=n,
-                    rate_kind=kind,
-                    peak_to_mean=peak_to_mean(series),
-                    cov=coefficient_of_variation(series),
-                )
-            )
+            rows.append(BurstinessRow(n, kind, *peak_to_mean_and_cov(series)))
     return tuple(rows)
 
 

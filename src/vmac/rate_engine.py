@@ -8,7 +8,7 @@ instantaneous rate bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class MeasurementWindow:
         return self.end_slot - self.length_slots + 1
 
 
-@dataclass(frozen=True)
-class RateSample:
+class RateSample(NamedTuple):
     """Paired measurement at a decision instant: the rate of the final window
     slot and the average over the whole window, both in bits/s."""
 
@@ -92,12 +91,26 @@ def aggregate_rate_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both aggregate rates, in bits/s, at every end slot from
     ``window_slots - 1`` to ``n_slots - 1``: what `rate_sample` gives there,
-    from one integer cumsum of the summed per-slot bytes; zeros for no flows."""
+    from one integer cumsum of the summed per-slot bytes; zeros for no flows.
+
+    Each flow's bytes are laid out in one reused row as one wrapped period
+    from its offset, then doubled by copying the row's own head, so a flow
+    costs O(log(n_slots / trace length)) contiguous copies and no index."""
     fps = _shared_fps(flows) if flows else 0.0
-    slots = np.arange(n_slots)
     agg = np.zeros(n_slots, dtype=np.int64)
+    row = np.empty(n_slots, dtype=np.int64)
     for f in flows:
-        agg += np.take(f.trace.sizes, f.start_offset + slots, mode="wrap")
+        sizes, s = f.trace.sizes, f.start_offset
+        m = min(n_slots, len(sizes))
+        head = min(m, len(sizes) - s)
+        row[:head] = sizes[s:s + head]
+        row[head:m] = sizes[:m - head]
+        # row[:m] holds whole periods, so copying it on keeps the period
+        while m < n_slots:
+            k = min(m, n_slots - m)
+            row[m:m + k] = row[:k]
+            m += k
+        agg += row
     cum = np.concatenate([[0], np.cumsum(agg)])
     w = window_slots
     inst = agg[w - 1:] * BITS_PER_BYTE * fps
@@ -115,7 +128,7 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
     """
     fps = flows[0].trace.fps if flows else 0.0
     w = window.length_slots
-    first = window.start_slot
+    first = window.end_slot - w + 1
     inst = win = size = 0
     for f in flows:
         trace = f.trace
@@ -125,16 +138,14 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
         if len(c) != size:  # a new trace length: 2n + 1 prefix sums
             size = len(c)
             n = size >> 1
-            # the window is `whole` full periods plus `last + 1` slots from s
+            # the window is `whole` full periods plus `stop` slots from s
             whole, last = divmod(w - 1, n)
+            stop = last + 1
         s = (f.start_offset + first) % n
-        hi = c[s + last + 1]
+        hi = c[s + stop]
         if whole:
             win += whole * c[n]
         win += hi - c[s]
         inst += hi - c[s + last]
-    return RateSample(
-        instantaneous=inst * BITS_PER_BYTE * fps,
-        average=win * BITS_PER_BYTE / w * fps,
-        window=window,
-    )
+    return RateSample(inst * BITS_PER_BYTE * fps, win * BITS_PER_BYTE / w * fps,
+                      window)

@@ -66,7 +66,8 @@ def summarize(series: Sequence[float]) -> SeriesSummary:
     n = len(series)
     mean = math.fsum(series) / n
     if n > 1:
-        var = math.fsum((x - mean) ** 2 for x in series) / (n - 1)
+        # ** 2, not x * x: the two round differently on some doubles
+        var = math.fsum([(x - mean) ** 2 for x in series]) / (n - 1)
         std = math.sqrt(var)
     else:
         std = 0.0
@@ -93,6 +94,18 @@ def coefficient_of_variation(series: Sequence[float]) -> float:
     if s.mean <= 0:
         raise ZeroMean(f"coefficient of variation needs a positive mean, got {s.mean}")
     return s.sample_std / s.mean
+
+
+def peak_to_mean_and_cov(series: Sequence[float]) -> tuple[float, float]:
+    """`peak_to_mean` and `coefficient_of_variation` of one series from one
+    `summarize`: the same values, and the error the first of the two calls
+    to fail would raise."""
+    s = summarize(series)
+    if s.mean <= 0:
+        raise ZeroMean(f"peak-to-mean needs a positive mean, got {s.mean}")
+    if s.count < 2:
+        raise TooShort("coefficient of variation needs at least 2 values")
+    return s.peak / s.mean, s.sample_std / s.mean
 
 
 def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWithCI:

@@ -170,6 +170,11 @@ def test_exceedance_requires_history():
         empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, 10, seed=0)
 
 
+def test_exceedance_refuses_no_flows():
+    with pytest.raises(ValueError, match="needs at least one flow"):
+        empirical_exceedance([], MeasurementWindow(4, 5), 1.0, 10, seed=0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     n=st.integers(2, 8),

@@ -321,6 +321,21 @@ def test_shortest_duration_runs(cbr_dir, tmp_path, argv):
     assert main(argv) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["timeseries", "burstiness"])
+@pytest.mark.parametrize("duration", [10 ** 18, 10 ** 30])
+def test_duration_too_large_to_hold_is_usage_error(cbr_dir, tmp_path, capsys,
+                                                   command, duration):
+    # 10**18 int64 slots are 6.9 EiB, more than any address space maps, so
+    # the allocation is refused outright (MemoryError) and nothing is
+    # allocated; 10**30 exceeds numpy's largest dimension (ValueError)
+    out = tmp_path / "x.csv"
+    argv = [command, "--flows", "2", "--traces-dir", str(cbr_dir),
+            "--duration", str(duration), "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_timeseries_row_count(cbr_dir, tmp_path):
     out = tmp_path / "ts.csv"
     code = main(

@@ -55,6 +55,14 @@ def test_pmr_is_peak_over_mean_of_summary(series):
     assert peak_to_mean(series) == s.peak / s.mean
 
 
+def test_summarize_squares_deviations_with_pow():
+    # with glibc, (x - mean) ** 2 rounds this x one ulp away from
+    # (x - mean) * (x - mean); summarize keeps ** 2, so every CoV and
+    # interval stays bit-identical
+    x = 311289.41342597175
+    assert summarize([-x, x]).sample_std == math.sqrt(2 * x ** 2)
+
+
 # -- coefficient of variation -----------------------------------------------------
 
 def test_cov_constant_series():

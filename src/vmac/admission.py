@@ -85,7 +85,9 @@ def _decide(
         Verdict.ADMIT if measured + req.requested_rate <= link.capacity
         else Verdict.REJECT
     )
-    return AdmissionDecision(verdict, measured, headroom, policy)
+    return AdmissionDecision(
+        verdict=verdict, measured_rate=measured, headroom=headroom, policy=policy
+    )
 
 
 def decide_instantaneous(

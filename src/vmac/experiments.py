@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ByteOverflow, ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
-from .rate_engine import aggregate_rate_series
+from .rate_engine import aggregate_rate_series, fill_periodic
 from .stats import MeanWithCI, mean_and_ci, peak_to_mean_and_cov
 from .trace_model import (
     INT64_MAX,
@@ -205,12 +205,7 @@ def _gap_table(library, w, flows) -> _GapTable:
         gap *= -w
         gap += hi
         gap -= c[:n]
-        # row[:m] holds whole periods, so copying it on keeps the period
-        m = n
-        while m < len(row):
-            k = min(m, len(row) - m)
-            row[m:m + k] = row[:k]
-            m += k
+        fill_periodic(row, n)
     table.flags.writeable = lengths.flags.writeable = False
     return _GapTable(table, lengths, lmax)
 

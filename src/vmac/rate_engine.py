@@ -86,6 +86,15 @@ def average_aggregate_rate(
     return total_bytes * BITS_PER_BYTE / window.length_slots * fps
 
 
+def fill_periodic(row: np.ndarray, m: int) -> None:
+    """Repeat `row[:m]`, which holds whole periods, to the end of `row` in
+    place, by O(log(len(row) / m)) doubling copies of the row's own head."""
+    while m < len(row):
+        k = min(m, len(row) - m)
+        row[m:m + k] = row[:k]
+        m += k
+
+
 def aggregate_rate_series(
     flows: Sequence[FlowInstance], window_slots: int, n_slots: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +102,8 @@ def aggregate_rate_series(
     ``window_slots - 1`` to ``n_slots - 1``: what `rate_sample` gives there,
     from one integer cumsum of the summed per-slot bytes; zeros for no flows.
 
-    Each flow's bytes are laid out in one reused row as one wrapped period
-    from its offset, then doubled by copying the row's own head, so a flow
-    costs O(log(n_slots / trace length)) contiguous copies and no index."""
+    Each flow's bytes go into one reused row as one wrapped period from its
+    offset, which `fill_periodic` repeats to the row's end; no index vector."""
     fps = _shared_fps(flows) if flows else 0.0
     agg = np.zeros(n_slots, dtype=np.int64)
     row = np.empty(n_slots, dtype=np.int64)
@@ -105,11 +113,7 @@ def aggregate_rate_series(
         head = min(m, len(sizes) - s)
         row[:head] = sizes[s:s + head]
         row[head:m] = sizes[:m - head]
-        # row[:m] holds whole periods, so copying it on keeps the period
-        while m < n_slots:
-            k = min(m, n_slots - m)
-            row[m:m + k] = row[:k]
-            m += k
+        fill_periodic(row, m)
         agg += row
     cum = np.concatenate([[0], np.cumsum(agg)])
     w = window_slots
@@ -128,7 +132,7 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
     """
     fps = flows[0].trace.fps if flows else 0.0
     w = window.length_slots
-    first = window.end_slot - w + 1
+    first = window.start_slot
     inst = win = size = 0
     for f in flows:
         trace = f.trace
@@ -138,14 +142,16 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
         if len(c) != size:  # a new trace length: 2n + 1 prefix sums
             size = len(c)
             n = size >> 1
-            # the window is `whole` full periods plus `stop` slots from s
+            # the window is `whole` full periods plus `last + 1` slots from s
             whole, last = divmod(w - 1, n)
-            stop = last + 1
         s = (f.start_offset + first) % n
-        hi = c[s + stop]
+        hi = c[s + last + 1]
         if whole:
             win += whole * c[n]
         win += hi - c[s]
         inst += hi - c[s + last]
-    return RateSample(inst * BITS_PER_BYTE * fps, win * BITS_PER_BYTE / w * fps,
-                      window)
+    return RateSample(
+        instantaneous=inst * BITS_PER_BYTE * fps,
+        average=win * BITS_PER_BYTE / w * fps,
+        window=window,
+    )

@@ -74,26 +74,31 @@ def summarize(series: Sequence[float]) -> SeriesSummary:
     return SeriesSummary(mean=mean, sample_std=std, peak=max(series), count=n)
 
 
+def _over_mean(value: float, mean: float, metric: str) -> float:
+    if mean <= 0:
+        raise ZeroMean(f"{metric} needs a positive mean, got {mean}")
+    return value / mean
+
+
+def _check_two_values(count: int) -> None:
+    if count < 2:
+        raise TooShort("coefficient of variation needs at least 2 values")
+
+
 def peak_to_mean(series: Sequence[float]) -> float:
     """max/mean of a series; >= 1 for non-negative series, 1 for constant.
 
     The same mean and peak as `summarize`, without its variance pass."""
     if not series:
         raise TooShort("cannot summarize an empty series")
-    mean = math.fsum(series) / len(series)
-    if mean <= 0:
-        raise ZeroMean(f"peak-to-mean needs a positive mean, got {mean}")
-    return max(series) / mean
+    return _over_mean(max(series), math.fsum(series) / len(series), "peak-to-mean")
 
 
 def coefficient_of_variation(series: Sequence[float]) -> float:
     """Sample standard deviation divided by mean; 0 for constant series."""
-    if len(series) < 2:
-        raise TooShort("coefficient of variation needs at least 2 values")
+    _check_two_values(len(series))
     s = summarize(series)
-    if s.mean <= 0:
-        raise ZeroMean(f"coefficient of variation needs a positive mean, got {s.mean}")
-    return s.sample_std / s.mean
+    return _over_mean(s.sample_std, s.mean, "coefficient of variation")
 
 
 def peak_to_mean_and_cov(series: Sequence[float]) -> tuple[float, float]:
@@ -101,11 +106,9 @@ def peak_to_mean_and_cov(series: Sequence[float]) -> tuple[float, float]:
     `summarize`: the same values, and the error the first of the two calls
     to fail would raise."""
     s = summarize(series)
-    if s.mean <= 0:
-        raise ZeroMean(f"peak-to-mean needs a positive mean, got {s.mean}")
-    if s.count < 2:
-        raise TooShort("coefficient of variation needs at least 2 values")
-    return s.peak / s.mean, s.sample_std / s.mean
+    pmr = _over_mean(s.peak, s.mean, "peak-to-mean")
+    _check_two_values(s.count)
+    return pmr, s.sample_std / s.mean
 
 
 def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWithCI:

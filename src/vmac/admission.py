@@ -85,9 +85,7 @@ def _decide(
         Verdict.ADMIT if measured + req.requested_rate <= link.capacity
         else Verdict.REJECT
     )
-    return AdmissionDecision(
-        verdict=verdict, measured_rate=measured, headroom=headroom, policy=policy
-    )
+    return AdmissionDecision(verdict, measured, headroom, policy)
 
 
 def decide_instantaneous(

@@ -142,16 +142,15 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
         if len(c) != size:  # a new trace length: 2n + 1 prefix sums
             size = len(c)
             n = size >> 1
-            # the window is `whole` full periods plus `last + 1` slots from s
+            # the window is `whole` full periods plus `stop` slots from s
             whole, last = divmod(w - 1, n)
+            stop = last + 1
         s = (f.start_offset + first) % n
-        hi = c[s + last + 1]
+        hi = c[s + stop]
         if whole:
             win += whole * c[n]
         win += hi - c[s]
         inst += hi - c[s + last]
-    return RateSample(
-        instantaneous=inst * BITS_PER_BYTE * fps,
-        average=win * BITS_PER_BYTE / w * fps,
-        window=window,
-    )
+    # positional: building a NamedTuple by keyword is slower
+    return RateSample(inst * BITS_PER_BYTE * fps, win * BITS_PER_BYTE / w * fps,
+                      window)

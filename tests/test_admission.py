@@ -132,3 +132,17 @@ def test_records_keep_field_order_repr_and_immutability():
             setattr(record, field, 0.0)
         with pytest.raises(AttributeError):
             record.note = "added"
+
+
+def test_records_are_tuples_of_their_fields():
+    """What README promises callers of the NamedTuple records: tuple
+    equality and hashing, unpacking, and `_replace` for a changed copy."""
+    window = MeasurementWindow(9, 5)
+    rate = RateSample(1.5, 2.25, window)
+    decision = AdmissionDecision(Verdict.ADMIT, 3.0, 0.5, Policy.INSTANTANEOUS)
+    assert rate == (1.5, 2.25, window) and hash(rate) == hash((1.5, 2.25, window))
+    verdict, measured, headroom, policy = decision
+    assert (verdict, measured, headroom, policy) == (
+        Verdict.ADMIT, 3.0, 0.5, Policy.INSTANTANEOUS)
+    assert rate._replace(average=4.0) == RateSample(1.5, 4.0, window)
+    assert decision._asdict()["headroom"] == 0.5

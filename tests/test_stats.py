@@ -18,6 +18,7 @@ from vmac.stats import (
     coefficient_of_variation,
     mean_and_ci,
     peak_to_mean,
+    peak_to_mean_and_cov,
     summarize,
 )
 
@@ -204,3 +205,30 @@ def test_default_sweep_flows_loads_no_scipy(tmp_path):
         TRACES_DIR / "bursty", out,
     )
     assert len(out.read_text().splitlines()) == 8
+
+
+@pytest.mark.parametrize("series, pmr_error, cov_error", [
+    ([], "cannot summarize an empty series",
+     "coefficient of variation needs at least 2 values"),
+    ([0.0], "peak-to-mean needs a positive mean, got 0.0",
+     "coefficient of variation needs at least 2 values"),
+    ([1.0], None, "coefficient of variation needs at least 2 values"),
+    ([0.0, 0.0], "peak-to-mean needs a positive mean, got 0.0",
+     "coefficient of variation needs a positive mean, got 0.0"),
+    ([2.0, -2.0], "peak-to-mean needs a positive mean, got 0.0",
+     "coefficient of variation needs a positive mean, got 0.0"),
+])
+def test_burstiness_errors_and_their_messages(series, pmr_error, cov_error):
+    """Each index's error, and `peak_to_mean_and_cov` raising the first of
+    the two, with the same message."""
+    def outcome(fn):
+        try:
+            return fn(series)
+        except (TooShort, ZeroMean) as exc:
+            return type(exc), str(exc)
+    pmr, cov = outcome(peak_to_mean), outcome(coefficient_of_variation)
+    for got, message in ((pmr, pmr_error), (cov, cov_error)):
+        if message is not None:
+            assert got[1] == message
+    first_error = pmr if pmr_error is not None else cov
+    assert outcome(peak_to_mean_and_cov) == first_error

@@ -80,10 +80,14 @@ def empirical_exceedance(
 
     Decision instants are drawn uniformly over one full period of valid end
     slots, deterministically per seed.  Only the window's length is taken
-    from `window`; its end slot is resampled.
+    from `window`; its end slot is resampled.  A NaN `epsilon` raises
+    ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if math.isnan(epsilon):
+        # every comparison with NaN is false, which would read as 0.0
+        raise ValueError("epsilon must not be NaN")
     if not flows:
         raise ValueError("empirical exceedance needs at least one flow")
     w = window.length_slots

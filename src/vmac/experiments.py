@@ -299,6 +299,8 @@ def run_window_sweep(
 ) -> tuple[tuple[int, MeanWithCI], ...]:
     """Probability sweep at a fixed flow count across window lengths."""
     check_settings(flow_counts=(flow_count,))
+    if not window_list:
+        raise ValueError("window lengths must not be empty")
     shortest = min(len(t) for t in cfg.trace_library)
     for w in window_list:
         if w < 1:
@@ -321,6 +323,8 @@ def run_content_comparison(
 ) -> tuple[tuple[ContentClass, int, MeanWithCI], ...]:
     """Probability sweep restricted to each content class in turn."""
     check_settings(flow_counts=flow_counts)
+    if not classes:
+        raise ValueError("content classes must not be empty")
     rows = []
     for content_class in classes:
         sub = tuple(

@@ -127,8 +127,10 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
     window's final slot and the average over the window.
 
     One pass over the flows, three lookups each into the trace's doubled
-    prefix sum; the bytes and rates equal `instantaneous_aggregate_rate` and
-    `average_aggregate_rate` exactly, for any window length.
+    prefix sum, read as the tuple of ints that `VideoTrace.cum2_ints` builds
+    on a trace's first sample; the bytes and rates equal
+    `instantaneous_aggregate_rate` and `average_aggregate_rate` exactly, for
+    any window length.
     """
     fps = flows[0].trace.fps if flows else 0.0
     w = window.length_slots
@@ -138,7 +140,9 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
         trace = f.trace
         if trace.fps != fps:
             _shared_fps(flows)  # raises MixedFps
-        c = trace._cum2
+        c = trace._cum2_ints
+        if c is None:
+            c = trace.cum2_ints()
         if len(c) != size:  # a new trace length: 2n + 1 prefix sums
             size = len(c)
             n = size >> 1

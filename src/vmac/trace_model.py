@@ -73,6 +73,10 @@ class VideoTrace:
     # doubled prefix sum of `sizes` for O(1) wrapped window sums, as a
     # read-only int64 memoryview: indexing it gives Python ints
     _cum2: memoryview = field(init=False, repr=False)
+    # the same sums as a tuple of Python ints, None until `cum2_ints` builds
+    # it: a lookup then allocates no int.  Not part of equality, hash, repr
+    # or pickle, so a trace that has it behaves as one that has not
+    _cum2_ints: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -143,6 +147,16 @@ class VideoTrace:
             self.id, self.fps, self.content_class, self.frame_types,
             self.sizes.tobytes(), self.indices.tobytes(),
         ))
+
+    def cum2_ints(self) -> tuple[int, ...]:
+        """The doubled prefix sum as a tuple of Python ints, built from
+        `_cum2` on the first call and kept (about 72 bytes per frame).
+        Threads that race to build it build equal tuples."""
+        ints = self._cum2_ints
+        if ints is None:
+            ints = tuple(self._cum2.tolist())
+            object.__setattr__(self, "_cum2_ints", ints)
+        return ints
 
     def __len__(self) -> int:
         return len(self.sizes)

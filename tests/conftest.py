@@ -4,11 +4,18 @@ from pathlib import Path
 
 import pytest
 
+import vmac
 from vmac.experiments import bursty_library
 from vmac.trace_model import BITS_PER_BYTE, VideoTrace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRACES_DIR = REPO_ROOT / "traces"
+
+
+def pytest_report_header(config):
+    # pyproject's `pythonpath` puts this checkout's `src` ahead of
+    # PYTHONPATH, so this is the checkout under test whatever PYTHONPATH says
+    return f"vmac: {vmac.__file__}"
 
 
 def make_trace(sizes, fps=30.0, trace_id="t", content_class=None):

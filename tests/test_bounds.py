@@ -175,6 +175,17 @@ def test_exceedance_refuses_no_flows():
         empirical_exceedance([], MeasurementWindow(4, 5), 1.0, 10, seed=0)
 
 
+def test_exceedance_refuses_nan_epsilon_and_keeps_infinities():
+    flows = bounded_flows(3, 2.0, seed=4, length=50)
+    window = MeasurementWindow(4, 5)
+    for nan in (math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="epsilon must not be NaN"):
+            empirical_exceedance(flows, window, nan, 10, seed=0)
+    # no margin is ever reached, and any rate clears a margin of -inf
+    assert empirical_exceedance(flows, window, math.inf, 1000, seed=0) == 0.0
+    assert empirical_exceedance(flows, window, -math.inf, 1000, seed=0) == 1.0
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     n=st.integers(2, 8),

@@ -312,3 +312,27 @@ def test_empty_flow_counts_rejected_before_any_draw(cbr_library, monkeypatch, ca
     monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
     with pytest.raises(ValueError, match="flow counts must not be empty"):
         call(cfg)
+
+
+# -- empty window and class lists ----------------------------------------------------
+
+def no_table(*args, **kwargs):
+    raise AssertionError("built a table or drew before checking the lists")
+
+
+@pytest.fixture
+def no_table_or_draw(monkeypatch):
+    for name in ("_gap_table", "_probability_scenario", "draw_flow_set"):
+        monkeypatch.setattr(experiments, name, no_table)
+
+
+def test_window_sweep_refuses_no_windows(cbr_library, no_table_or_draw):
+    cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
+    with pytest.raises(ValueError, match="window lengths must not be empty"):
+        run_window_sweep(cfg, 5, ())
+
+
+def test_content_comparison_refuses_no_classes(cbr_library, no_table_or_draw):
+    cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
+    with pytest.raises(ValueError, match="content classes must not be empty"):
+        run_content_comparison(cfg, (), (2, 5))

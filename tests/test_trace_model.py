@@ -4,7 +4,9 @@ import copy
 import io
 import math
 import pickle
+import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,7 +24,12 @@ from vmac.errors import (
     MissingFps,
     TraceError,
 )
-from vmac.rate_engine import MeasurementWindow, rate_sample
+from vmac.rate_engine import (
+    MeasurementWindow,
+    average_aggregate_rate,
+    instantaneous_aggregate_rate,
+    rate_sample,
+)
 from vmac.trace_model import (
     BITS_PER_BYTE,
     MBPS,
@@ -401,6 +408,79 @@ def test_pickle_and_deepcopy_round_trip():
         clone_flows = [FlowInstance(trace=clone, start_offset=f.start_offset)
                        for f in flows]
         assert rate_sample(clone_flows, window) == rate_sample(flows, window)
+
+
+def sampled_and_fresh_trace():
+    """A trace that `rate_sample` has read, so it holds its prefix-sum tuple,
+    and a fresh equal trace that does not."""
+    columns = dict(
+        id="t", sizes=[7, 0, 9, 300, 2 ** 40], fps=25.0,
+        content_class=ContentClass.NEWS, frame_types="IB?PI",
+        indices=[2, 5, 6, 10, 11],
+    )
+    read = VideoTrace(**columns)
+    rate_sample([FlowInstance(trace=read, start_offset=3)], MeasurementWindow(9, 7))
+    return read, VideoTrace(**columns)
+
+
+def test_prefix_sum_tuple_equals_cum2():
+    read, fresh = sampled_and_fresh_trace()
+    assert fresh._cum2_ints is None
+    ints = read._cum2_ints
+    assert type(ints) is tuple and all(type(x) is int for x in ints)
+    assert ints == tuple(read._cum2.tolist()) == tuple(fresh._cum2.tolist())
+    # built once, then kept
+    assert read.cum2_ints() is ints
+
+
+def test_prefix_sum_tuple_is_invisible():
+    read, fresh = sampled_and_fresh_trace()
+    assert read == fresh and not read != fresh and fresh == read
+    assert hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert pickle.dumps(read) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(read)), copy.copy(read),
+                  copy.deepcopy(read)):
+        assert clone == fresh and hash(clone) == hash(fresh)
+        assert repr(clone) == repr(fresh)
+        assert pickle.dumps(clone) == pickle.dumps(fresh)
+        # a copy is rebuilt from the columns, as a fresh trace's copy is
+        assert clone._cum2_ints is None and copy.copy(fresh)._cum2_ints is None
+
+
+def test_threads_sampling_one_fresh_trace_agree():
+    # more threads than cores, switching often, race to build one trace's
+    # tuple; a racing build builds an equal tuple, so every sample agrees
+    window = MeasurementWindow(40, 25)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(4):
+            trace = synth_bounded_trace(
+                3000, FlowRateBounds(0.0, 2 * MBPS), fps=30.0, seed=seed
+            )
+            flows = [FlowInstance(trace=trace, start_offset=o)
+                     for o in (0, 17, 2990)]
+            start = threading.Barrier(4)
+            samples = [None] * 4
+
+            def sample(i):
+                start.wait(timeout=10)
+                samples[i] = rate_sample(flows, window)
+
+            threads = [threading.Thread(target=sample, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert samples == [(
+                instantaneous_aggregate_rate(flows, window.end_slot),
+                average_aggregate_rate(flows, window),
+                window,
+            )] * 4
+            assert trace._cum2_ints == tuple(trace._cum2.tolist())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .rate_engine import RateSample
+from .rate_engine import RateSample, new_record
 from .trace_model import MBPS
 
 
@@ -43,6 +43,12 @@ class Verdict(enum.Enum):
 class Policy(enum.Enum):
     INSTANTANEOUS = "inst"
     AVERAGE = "avg"
+
+
+# read once here: a module global is cheaper than `Verdict.ADMIT`, which
+# goes through the enum metaclass on every call
+_ADMIT, _REJECT = Verdict.ADMIT, Verdict.REJECT
+_INSTANTANEOUS, _AVERAGE = Policy.INSTANTANEOUS, Policy.AVERAGE
 
 
 @dataclass(frozen=True)
@@ -81,11 +87,8 @@ def _decide(
     measured: float, req: AdmissionRequest, link: LinkConfig, policy: Policy
 ) -> AdmissionDecision:
     headroom = link.capacity - measured - req.requested_rate
-    verdict = (
-        Verdict.ADMIT if measured + req.requested_rate <= link.capacity
-        else Verdict.REJECT
-    )
-    return AdmissionDecision(verdict, measured, headroom, policy)
+    verdict = _ADMIT if measured + req.requested_rate <= link.capacity else _REJECT
+    return new_record(AdmissionDecision, (verdict, measured, headroom, policy))
 
 
 def decide_instantaneous(
@@ -94,7 +97,7 @@ def decide_instantaneous(
     link: LinkConfig,
 ) -> AdmissionDecision:
     """Admit iff instantaneous aggregate rate + requested rate <= capacity."""
-    return _decide(sample.instantaneous, req, link, Policy.INSTANTANEOUS)
+    return _decide(sample.instantaneous, req, link, _INSTANTANEOUS)
 
 
 def decide_average(
@@ -103,4 +106,4 @@ def decide_average(
     link: LinkConfig,
 ) -> AdmissionDecision:
     """Admit iff windowed average aggregate rate + requested rate <= capacity."""
-    return _decide(sample.average, req, link, Policy.AVERAGE)
+    return _decide(sample.average, req, link, _AVERAGE)

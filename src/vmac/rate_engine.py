@@ -37,6 +37,11 @@ class MeasurementWindow:
         return self.end_slot - self.length_slots + 1
 
 
+# builds a NamedTuple record as its generated `__new__` does, by
+# `new_record(Record, (field, ...))` in field order, without that Python frame
+new_record = tuple.__new__
+
+
 class RateSample(NamedTuple):
     """Paired measurement at a decision instant: the rate of the final window
     slot and the average over the whole window, both in bits/s."""
@@ -128,14 +133,15 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
 
     One pass over the flows, three lookups each into the trace's doubled
     prefix sum, read as the tuple of ints that `VideoTrace.cum2_ints` builds
-    on a trace's first sample; the bytes and rates equal
-    `instantaneous_aggregate_rate` and `average_aggregate_rate` exactly, for
-    any window length.
+    on a trace's first sample and added into three running sums; the bytes
+    and rates equal `instantaneous_aggregate_rate` and
+    `average_aggregate_rate` exactly, for any window length.
     """
     fps = flows[0].trace.fps if flows else 0.0
     w = window.length_slots
     first = window.start_slot
-    inst = win = size = 0
+    # running sums of the prefix values each flow reads: exact Python ints
+    hi = lo = last_lo = periods = size = 0
     for f in flows:
         trace = f.trace
         if trace.fps != fps:
@@ -150,11 +156,12 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
             whole, last = divmod(w - 1, n)
             stop = last + 1
         s = (f.start_offset + first) % n
-        hi = c[s + stop]
+        hi += c[s + stop]
+        lo += c[s]
+        last_lo += c[s + last]
         if whole:
-            win += whole * c[n]
-        win += hi - c[s]
-        inst += hi - c[s + last]
-    # positional: building a NamedTuple by keyword is slower
-    return RateSample(inst * BITS_PER_BYTE * fps, win * BITS_PER_BYTE / w * fps,
-                      window)
+            periods += whole * c[n]
+    inst = hi - last_lo
+    win = periods + hi - lo
+    return new_record(RateSample, (inst * BITS_PER_BYTE * fps,
+                                   win * BITS_PER_BYTE / w * fps, window))

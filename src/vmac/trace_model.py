@@ -61,6 +61,15 @@ class VideoTrace:
     `indices` the frames are numbered 0, 1, 2, ...; without `frame_types`
     every type is unknown ("?").  Equality and hashing are by value; a copy
     or an unpickled trace is rebuilt from the columns.
+
+    `__post_init__` also sets two attributes that are not dataclass fields,
+    so `fields`, `asdict` and `astuple` never see them: `_cum2`, the
+    doubled prefix sum of `sizes` for O(1) wrapped window sums, as a
+    read-only int64 memoryview (indexing it gives Python ints); and
+    `_cum2_ints`, None until `cum2_ints` builds the same sums as a tuple of
+    Python ints, whose lookups allocate no int.  Neither is part of
+    equality, hash, repr or pickle, so a trace that has the tuple behaves
+    as one that has not.
     """
 
     id: str
@@ -69,14 +78,6 @@ class VideoTrace:
     content_class: ContentClass = ContentClass.UNKNOWN
     frame_types: Optional[str] = field(default=None, repr=False)
     indices: Optional[np.ndarray] = field(default=None, repr=False)
-
-    # doubled prefix sum of `sizes` for O(1) wrapped window sums, as a
-    # read-only int64 memoryview: indexing it gives Python ints
-    _cum2: memoryview = field(init=False, repr=False)
-    # the same sums as a tuple of Python ints, None until `cum2_ints` builds
-    # it: a lookup then allocates no int.  Not part of equality, hash, repr
-    # or pickle, so a trace that has it behaves as one that has not
-    _cum2_ints: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -122,7 +123,7 @@ class VideoTrace:
             column.flags.writeable = False
         for name, value in (
             ("sizes", sizes), ("indices", indices), ("_cum2", memoryview(cum2)),
-            ("frame_types", frame_types),
+            ("_cum2_ints", None), ("frame_types", frame_types),
         ):
             object.__setattr__(self, name, value)
 

@@ -146,3 +146,14 @@ def test_records_are_tuples_of_their_fields():
         Verdict.ADMIT, 3.0, 0.5, Policy.INSTANTANEOUS)
     assert rate._replace(average=4.0) == RateSample(1.5, 4.0, window)
     assert decision._asdict()["headroom"] == 0.5
+
+
+def test_decisions_are_records_holding_enum_members():
+    s = sample(90.0, 80.0)
+    for decide, policy in ((decide_average, Policy.AVERAGE),
+                           (decide_instantaneous, Policy.INSTANTANEOUS)):
+        for requested, verdict in ((5 * MBPS, Verdict.ADMIT),
+                                   (25 * MBPS, Verdict.REJECT)):
+            d = decide(s, AdmissionRequest(requested_rate=requested), LINK)
+            assert type(d) is AdmissionDecision
+            assert d.verdict is verdict and d.policy is policy

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from vmac.errors import MixedFps, WindowOutOfRange
 from vmac.rate_engine import (
     MeasurementWindow,
+    RateSample,
     average_aggregate_rate,
     instantaneous_aggregate_rate,
     rate_sample,
@@ -186,3 +187,25 @@ def test_rate_sample_equals_per_quantity_rates(case):
 def test_rate_sample_of_no_flows_is_zero():
     sample = rate_sample([], MeasurementWindow(7, 3))
     assert (sample.instantaneous, sample.average) == (0.0, 0.0)
+
+
+def test_rate_sample_is_exact_when_running_sums_pass_int64():
+    # frames near 2**59 bytes: each trace's doubled total stays within int64,
+    # as a VideoTrace requires, but over seven flows and windows longer than
+    # the traces the window's byte total, and so the running sums of prefix
+    # values that form it, pass 2**63
+    big = 2 ** 59
+    short = make_trace([big + 1, big - 7, 3], trace_id="short")
+    long = make_trace([big - 1, 5, big + 11, 0, 2], trace_id="long")
+    flows = [FlowInstance(trace=t, start_offset=o)
+             for t in (short, long) for o in range(4) if o < len(t)]
+    for w in (6, 7, 11, 16):
+        window = MeasurementWindow(w + 2, w)
+        sample = rate_sample(flows, window)
+        assert type(sample) is RateSample
+        assert sample.instantaneous == instantaneous_aggregate_rate(
+            flows, window.end_slot)
+        assert sample.average == average_aggregate_rate(flows, window)
+        assert sample.window is window
+        assert sum(f.trace.window_bytes(f.start_offset + window.start_slot, w)
+                   for f in flows) > 2 ** 63

@@ -1,6 +1,7 @@
 """Trace parsing, synthesis and per-flow rate lookup."""
 
 import copy
+import dataclasses
 import io
 import math
 import pickle
@@ -445,6 +446,23 @@ def test_prefix_sum_tuple_is_invisible():
         assert pickle.dumps(clone) == pickle.dumps(fresh)
         # a copy is rebuilt from the columns, as a fresh trace's copy is
         assert clone._cum2_ints is None and copy.copy(fresh)._cum2_ints is None
+
+
+def test_prefix_sums_are_not_dataclass_fields():
+    read, fresh = sampled_and_fresh_trace()
+    names = ("id", "sizes", "fps", "content_class", "frame_types", "indices")
+    for trace in (fresh, read):
+        assert tuple(f.name for f in dataclasses.fields(trace)) == names
+        as_dict = dataclasses.asdict(trace)
+        assert tuple(as_dict) == names
+        assert (as_dict["id"], as_dict["fps"], as_dict["frame_types"]) == (
+            "t", 25.0, "IB?PI")
+        assert np.array_equal(as_dict["sizes"], trace.sizes)
+        assert np.array_equal(as_dict["indices"], trace.indices)
+    # both prefix-sum forms are plain instance attributes
+    assert vars(fresh)["_cum2_ints"] is None
+    assert vars(read)["_cum2_ints"] is read.cum2_ints()
+    assert vars(read)["_cum2"] is read._cum2
 
 
 def test_threads_sampling_one_fresh_trace_agree():

@@ -81,7 +81,8 @@ def empirical_exceedance(
     Decision instants are drawn uniformly over one full period of valid end
     slots, deterministically per seed.  Only the window's length is taken
     from `window`; its end slot is resampled.  A NaN `epsilon` raises
-    ValueError.
+    ValueError; flows whose `aggregate_rate_series` would not be exact
+    raise ByteOverflow.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

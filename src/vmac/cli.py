@@ -7,8 +7,9 @@ evaluation and admission queries.  All rate flags are in Mbps (1 Mbps =
 for byte.
 
 Exit status: 0 success (or Admit), 1 Reject (admit command), 2 usage or
-configuration error, 3 data error.  The VMAC_SEED environment variable
-supplies the master seed when --seed is absent.
+configuration error (including a confidence interval that needs scipy
+when scipy cannot be imported), 3 data error.  The VMAC_SEED environment
+variable supplies the master seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -319,7 +320,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ImportError) as exc:
+        # an ImportError is a missing scipy, which only an untabulated
+        # confidence interval imports: the flags ask what it cannot give
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -186,14 +186,11 @@ def _gap_table(library, w, flows) -> _GapTable:
     instantaneous rate exactly when its flows' gaps sum below 0; over one
     period each row sums to 0.  Raises ByteOverflow, before building, when a
     sum of `flows` gaps could exceed int64."""
-    # a gap is at most w * max_frame bytes either way, so this bounds the
-    # sums; the scan for max_frame only runs when the largest trace total,
-    # which bounds it and is read from the prefix sum, cannot rule it out
-    if flows * w * max(t._cum2[len(t)] for t in library) > INT64_MAX:
-        max_frame = max(int(t.sizes.max()) for t in library)
-        if flows * w * max_frame > INT64_MAX:
-            raise ByteOverflow(
-                f"{flows} flows x {w} slots x {max_frame} bytes exceeds int64")
+    # a gap is at most w * max_frame bytes either way, so this bounds the sums
+    max_frame = max(t._peak for t in library)
+    if flows * w * max_frame > INT64_MAX:
+        raise ByteOverflow(
+            f"{flows} flows x {w} slots x {max_frame} bytes exceeds int64")
     lengths = np.array([len(t) for t in library], dtype=np.float64)
     lmax = max(len(t) for t in library)
     table = np.empty((len(library), 2 * lmax - 1), dtype=np.int64)
@@ -258,7 +255,8 @@ def run_rate_timeseries(
     cfg: ExperimentConfig, flow_count: int, duration_slots: int, seed: int
 ) -> TimeSeriesResult:
     """One fixed random flow set, per-slot instantaneous aggregate and
-    sliding-window average for every slot where the window fits."""
+    sliding-window average for every slot where the window fits.  Raises
+    ByteOverflow where `aggregate_rate_series` would not be exact."""
     check_settings(flow_counts=(flow_count,))
     w = cfg.window_slots
     if duration_slots < w:
@@ -280,7 +278,8 @@ def run_burstiness_table(
     duration_slots: int = 300,
 ) -> tuple[BurstinessRow, ...]:
     """Peak-to-mean ratio and coefficient of variation of both rate series,
-    one fixed scenario per flow count."""
+    one fixed scenario per flow count.  Raises ByteOverflow where a
+    scenario's `aggregate_rate_series` would not be exact."""
     check_settings(flow_counts=flow_counts)
     rows = []
     for idx, n in enumerate(flow_counts):
@@ -346,22 +345,25 @@ def run_content_comparison(
 # most slots sit near a base rate, with occasional near-silent frames and
 # short quiet episodes a few slots long.  The "bursty" library mixes
 # low-rate bursty feeds with high-rate near-constant feeds; the content
-# libraries differ only in how violent the rate swings are.
+# libraries differ only in how violent the rate swings are.  Every trace
+# is 3 000 slots at 30 fps.
 
-def bursty_library(
-    seed: int, n_traces: int = 10, length: int = 3000, fps: float = 30.0
-) -> tuple[VideoTrace, ...]:
-    """Mixed library: 70% low-rate bursty traces, 30% high-rate smooth ones."""
+_LENGTH = 3000
+_FPS = 30.0
+
+
+def bursty_library(seed: int) -> tuple[VideoTrace, ...]:
+    """Mixed library of ten traces: seven low-rate bursty ones, then three
+    high-rate smooth ones."""
     rng = np.random.Generator(np.random.PCG64(seed))
     traces = []
-    n_bursty = (7 * n_traces + 9) // 10
-    for i in range(n_traces):
+    for i in range(10):
         child = int(rng.integers(0, 2 ** 62))
-        if i < n_bursty:
+        if i < 7:
             base = rng.uniform(0.5, 0.7) * MBPS
             traces.append(
                 synth_onoff_trace(
-                    length, fps, child, base,
+                    _LENGTH, _FPS, child, base,
                     dip_prob=0.09, dip_factor=0.70,
                     quiet_enter=0.0075, quiet_exit=0.20, quiet_factor=0.02,
                     noise=0.05, trace_id=f"bursty-{i}",
@@ -371,7 +373,7 @@ def bursty_library(
             base = rng.uniform(7.0, 9.0) * MBPS
             traces.append(
                 synth_onoff_trace(
-                    length, fps, child, base, noise=0.003,
+                    _LENGTH, _FPS, child, base, noise=0.003,
                     trace_id=f"smooth-{i}",
                 )
             )
@@ -379,27 +381,23 @@ def bursty_library(
 
 
 def content_library(
-    seed: int,
-    content_class: ContentClass,
-    n_traces: int = 5,
-    length: int = 3000,
-    fps: float = 30.0,
+    seed: int, content_class: ContentClass
 ) -> tuple[VideoTrace, ...]:
-    """Synthetic per-class library: sports-like traces swing hard between
-    near-silence and full rate, news-like traces barely move.  Only news
-    and sports are synthesised; any other class is a ValueError."""
+    """Synthetic per-class library of five traces: sports-like traces swing
+    hard between near-silence and full rate, news-like traces barely move.
+    Only news and sports are synthesised; any other class is a ValueError."""
     if content_class not in (ContentClass.NEWS, ContentClass.SPORTS):
         raise ValueError(f"no synthetic recipe for content class {content_class}")
     rng = np.random.Generator(np.random.PCG64(seed))
     traces = []
-    for i in range(n_traces):
+    for i in range(5):
         child = int(rng.integers(0, 2 ** 62))
         base = rng.uniform(2.5, 4.0) * MBPS
         name = f"{content_class.value}-{i}"
         if content_class is ContentClass.SPORTS:
             traces.append(
                 synth_onoff_trace(
-                    length, fps, child, base,
+                    _LENGTH, _FPS, child, base,
                     dip_prob=0.10, dip_factor=0.05,
                     quiet_enter=0.04, quiet_exit=0.33, quiet_factor=0.05,
                     noise=0.04, trace_id=name, content_class=content_class,
@@ -408,7 +406,7 @@ def content_library(
         else:
             traces.append(
                 synth_onoff_trace(
-                    length, fps, child, base, noise=0.05,
+                    _LENGTH, _FPS, child, base, noise=0.05,
                     trace_id=name, content_class=content_class,
                 )
             )

@@ -12,8 +12,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import MixedFps, WindowOutOfRange
-from .trace_model import BITS_PER_BYTE, FlowInstance
+from .errors import ByteOverflow, MixedFps, WindowOutOfRange
+from .trace_model import BITS_PER_BYTE, INT64_MAX, FlowInstance
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,20 @@ def aggregate_rate_series(
     from one integer cumsum of the summed per-slot bytes; zeros for no flows.
 
     Each flow's bytes go into one reused row as one wrapped period from its
-    offset, which `fill_periodic` repeats to the row's end; no index vector."""
+    offset, which `fill_periodic` repeats to the row's end; no index vector.
+    Raises ByteOverflow when the flows' peak frames, summed, do not bound
+    the cumsum within int64 and every window's bits within 2**53, where a
+    double holds each integer exactly: beyond it the series could differ
+    from `rate_sample`."""
     fps = _shared_fps(flows) if flows else 0.0
     agg = np.zeros(n_slots, dtype=np.int64)
     row = np.empty(n_slots, dtype=np.int64)
+    w = window_slots
+    peak = sum(f.trace._peak for f in flows)  # bounds every slot's bytes
+    if n_slots * peak > INT64_MAX or BITS_PER_BYTE * w * peak > 2 ** 53:
+        raise ByteOverflow(
+            f"rate series would not be exact: {len(flows)} flows of up to "
+            f"{peak} bytes a slot, {n_slots} slots, {w}-slot windows")
     for f in flows:
         sizes, s = f.trace.sizes, f.start_offset
         m = min(n_slots, len(sizes))
@@ -121,7 +131,6 @@ def aggregate_rate_series(
         fill_periodic(row, m)
         agg += row
     cum = np.concatenate([[0], np.cumsum(agg)])
-    w = window_slots
     inst = agg[w - 1:] * BITS_PER_BYTE * fps
     avg = (cum[w:] - cum[:-w]) * BITS_PER_BYTE / w * fps
     return inst, avg

@@ -125,8 +125,11 @@ def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWi
     s = summarize(rep_values)
     quantile = _T_QUANTILE_95.get(n - 1) if confidence == 0.95 else None
     if quantile is None:
-        from scipy.special import stdtrit  # the quantile behind t.ppf in scipy
-
+        try:
+            from scipy.special import stdtrit  # the quantile behind t.ppf in scipy
+        except ImportError as exc:
+            raise ImportError(f"a {confidence:g} confidence interval over {n} "
+                              f"repetitions needs scipy: {exc}") from exc
         quantile = float(stdtrit(n - 1, (1.0 + confidence) / 2.0))
     half_width = quantile * s.sample_std / math.sqrt(n)
     return MeanWithCI(

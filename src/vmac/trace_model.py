@@ -62,14 +62,15 @@ class VideoTrace:
     every type is unknown ("?").  Equality and hashing are by value; a copy
     or an unpickled trace is rebuilt from the columns.
 
-    `__post_init__` also sets two attributes that are not dataclass fields,
-    so `fields`, `asdict` and `astuple` never see them: `_cum2`, the
+    `__post_init__` also sets three attributes that are not dataclass
+    fields, so `fields`, `asdict` and `astuple` never see them: `_cum2`, the
     doubled prefix sum of `sizes` for O(1) wrapped window sums, as a
-    read-only int64 memoryview (indexing it gives Python ints); and
+    read-only int64 memoryview (indexing it gives Python ints);
     `_cum2_ints`, None until `cum2_ints` builds the same sums as a tuple of
-    Python ints, whose lookups allocate no int.  Neither is part of
-    equality, hash, repr or pickle, so a trace that has the tuple behaves
-    as one that has not.
+    Python ints, whose lookups allocate no int; and `_peak`, the largest
+    frame size as a Python int, from which every int64 byte sum over the
+    trace is bounded.  None of them is part of equality, hash, repr or
+    pickle, so a trace that has the tuple behaves as one that has not.
     """
 
     id: str
@@ -113,9 +114,10 @@ class VideoTrace:
             )
         if sizes.min() < 0:
             raise ValueError(f"trace {self.id}: frame sizes must be >= 0")
+        peak = int(sizes.max())
         # the exact Python sum only runs when the cheap bound cannot rule
         # out a doubled byte total beyond int64
-        if sizes.max() > INT64_MAX // (2 * n) and 2 * sum(sizes.tolist()) > INT64_MAX:
+        if peak > INT64_MAX // (2 * n) and 2 * sum(sizes.tolist()) > INT64_MAX:
             raise ByteOverflow(f"trace {self.id}: window sums would exceed int64")
         cum2 = np.zeros(2 * n + 1, dtype=np.int64)
         np.cumsum(np.concatenate([sizes, sizes]), out=cum2[1:])
@@ -123,7 +125,7 @@ class VideoTrace:
             column.flags.writeable = False
         for name, value in (
             ("sizes", sizes), ("indices", indices), ("_cum2", memoryview(cum2)),
-            ("_cum2_ints", None), ("frame_types", frame_types),
+            ("_cum2_ints", None), ("_peak", peak), ("frame_types", frame_types),
         ):
             object.__setattr__(self, name, value)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import sys
 from unittest import mock
 
 import pytest
@@ -333,6 +334,55 @@ def test_duration_too_large_to_hold_is_usage_error(cbr_dir, tmp_path, capsys,
             "--duration", str(duration), "--out", str(out)]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.fixture()
+def wrapping_dir(tmp_path):
+    """One trace of frames 2^61 and 1 bytes at 1 fps: its doubled total
+    fits int64, but four flows of it hold 2^63 bytes in a slot."""
+    d = tmp_path / "wrapping"
+    d.mkdir()
+    (d / "big.txt").write_text(f"# fps=1\n{2 ** 61}\n1\n")
+    return d
+
+
+@pytest.mark.parametrize("command", ["timeseries", "burstiness", "sweep-flows"])
+def test_sums_beyond_int64_are_data_errors(wrapping_dir, tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    argv = [command, "--traces-dir", str(wrapping_dir), "--flows", "4",
+            "--window", "2", "--seed", "1", "--out", str(out)]
+    if command != "sweep-flows":
+        argv += ["--duration", "4"]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_admit_sums_past_int64_exactly(wrapping_dir, capsys):
+    # each flow's 2-slot window holds both frames, so the four windows hold
+    # 2^63 + 4 bytes: 2^65 + 16 bit/s, which rounds to the double 2^65
+    argv = ["admit", "--policy", "avg", "--capacity", "1", "--rate", "1",
+            "--traces-dir", str(wrapping_dir), "--flows", "4", "--window", "2",
+            "--seed", "1"]
+    assert main(argv) == EXIT_REJECT
+    assert f"measured={2 ** 65 / 1e6:.6f}Mbps" in capsys.readouterr().out
+
+
+def test_interval_without_scipy_is_usage_error(cbr_dir, tmp_path, capsys,
+                                               monkeypatch):
+    # a 0.9 interval is not tabulated, so it imports scipy.special; with
+    # both names blocked that import fails as on a host without scipy
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    out = tmp_path / "x.csv"
+    argv = ["sweep-flows", "--traces-dir", str(cbr_dir), "--flows", "2",
+            "--confidence", "0.9", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "scipy" in err
     assert not out.exists()
 
 

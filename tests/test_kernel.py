@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmac import experiments
+from vmac.bounds import empirical_exceedance
 from vmac.errors import ByteOverflow
 from vmac.experiments import (
     ExperimentConfig,
@@ -17,8 +18,10 @@ from vmac.experiments import (
     _gap_table,
     _rep_probability,
     draw_scenarios,
+    run_burstiness_table,
     run_content_comparison,
     run_probability_sweep,
+    run_rate_timeseries,
     run_window_sweep,
 )
 from vmac.rate_engine import (
@@ -26,6 +29,7 @@ from vmac.rate_engine import (
     aggregate_rate_series,
     average_aggregate_rate,
     instantaneous_aggregate_rate,
+    rate_sample,
 )
 from vmac.trace_model import BITS_PER_BYTE, FlowInstance
 
@@ -308,6 +312,83 @@ def test_gap_table_refuses_a_window_beyond_int64():
     _gap_table(library, 7, 1)
     with pytest.raises(ByteOverflow):
         _gap_table(library, 8, 1)
+
+
+def wrapping_config():
+    """Four flows of one trace of frames 2^61 and 1 bytes at w = 2: a slot
+    where all four show the large frame holds 2^63 bytes, one past int64,
+    although the trace's own doubled total fits."""
+    library = (make_trace([2 ** 61, 1], fps=1.0),)
+    return ExperimentConfig(trace_library=library, flow_counts=(4,),
+                            window_slots=2, runs_per_rep=10, reps=2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: aggregate_rate_series(
+        [FlowInstance(trace=cfg.trace_library[0], start_offset=0)] * 4, 2, 4),
+    lambda cfg: run_rate_timeseries(cfg, 4, 4, 1),
+    lambda cfg: run_burstiness_table(cfg, (4,), 4),
+    lambda cfg: empirical_exceedance(
+        [FlowInstance(trace=cfg.trace_library[0], start_offset=0)] * 4,
+        MeasurementWindow(1, 2), 0.0, 10, 1),
+    run_probability_sweep,
+], ids=["series", "timeseries", "burstiness", "exceedance", "sweep"])
+def test_rate_series_refuses_sums_beyond_int64(call):
+    with pytest.raises(ByteOverflow):
+        call(wrapping_config())
+
+
+def test_rate_series_refuses_windows_beyond_exact_doubles():
+    # a 3-slot window of frames near 2^52 bytes holds about 2^56.6 bits;
+    # past 2^53 an int64 window sum converted to a double before the divide
+    # by w can round, and the series so computed misses `rate_sample`
+    flows = [FlowInstance(trace=make_trace([2 ** 52 + k * k for k in range(10)]),
+                          start_offset=0)]
+    w, n_slots = 3, 12
+    _, float_avg = wrap_gather_series(flows, w, n_slots)
+    missed = sum(
+        float_avg[end - w + 1] != rate_sample(flows, MeasurementWindow(end, w)).average
+        for end in range(w - 1, n_slots)
+    )
+    assert missed == 4
+    with pytest.raises(ByteOverflow):
+        aggregate_rate_series(flows, w, n_slots)
+
+
+def edge_flows(b_sizes):
+    """Two flows whose peaks, 2^48 and the largest of `b_sizes`, meet in
+    slot 0; trace a's next frame is 2^48 - 1 bytes."""
+    a = make_trace([2 ** 48, 2 ** 48 - 1, 3, 2 ** 47 + 5], trace_id="a")
+    b = make_trace(b_sizes, trace_id="b")
+    return [FlowInstance(trace=a, start_offset=0),
+            FlowInstance(trace=b, start_offset=1)]
+
+
+def test_rate_series_exact_at_2_53_bits_per_window():
+    # summed peaks 2^49, so 8 x w x 2^49 = 2^53 at w = 2; the first window
+    # holds 2^53 - 32 bits
+    flows = edge_flows([7, 2 ** 48, 2 ** 48 - 3])
+    w, n_slots = 2, 20
+    inst, avg = aggregate_rate_series(flows, w, n_slots)
+    for end in range(w - 1, n_slots):
+        sample = rate_sample(flows, MeasurementWindow(end, w))
+        assert (inst[end - w + 1], avg[end - w + 1]) == (
+            sample.instantaneous, sample.average)
+
+
+def test_rate_series_refuses_one_byte_past_2_53_bits_per_window():
+    with pytest.raises(ByteOverflow):
+        aggregate_rate_series(edge_flows([7, 2 ** 48 + 1, 2 ** 48 - 3]), 2, 20)
+
+
+def test_rate_series_refuses_a_cumsum_beyond_int64():
+    # one-slot windows of 2^49 bytes are 2^52 bits, exact doubles, but the
+    # cumsum of 2^14 such slots reaches 2^63
+    flows = [FlowInstance(trace=make_trace([2 ** 49]), start_offset=0)]
+    inst, avg = aggregate_rate_series(flows, 1, 2 ** 14 - 1)
+    assert (inst == 2 ** 52 * 30.0).all() and (avg == inst).all()
+    with pytest.raises(ByteOverflow):
+        aggregate_rate_series(flows, 1, 2 ** 14)
 
 
 def test_each_sweep_builds_one_table_per_library_and_window(bursty_lib, monkeypatch):

@@ -406,6 +406,8 @@ def test_pickle_and_deepcopy_round_trip():
         assert hash(copy.copy(clone)) == hash(trace)
         assert not (clone.sizes.flags.writeable or clone.indices.flags.writeable)
         assert clone.window_bytes(3, 9) == trace.window_bytes(3, 9)
+        # the stored peak, like the prefix sum, is rebuilt from the columns
+        assert type(clone._peak) is int and clone._peak == trace._peak == 9
         clone_flows = [FlowInstance(trace=clone, start_offset=f.start_offset)
                        for f in flows]
         assert rate_sample(clone_flows, window) == rate_sample(flows, window)

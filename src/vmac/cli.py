@@ -43,8 +43,6 @@ class OutputTable:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)

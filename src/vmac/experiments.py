@@ -12,21 +12,22 @@ aggregate rate is strictly below the instantaneous aggregate rate at the
 decision instant; per repetition it is estimated over `runs_per_rep` runs
 in one batched gather, and the sweep reports mean plus confidence interval
 over `reps` repetitions.  The gap table the gather reads depends only on
-the library and window, so a sweep builds it once for all the scenarios
-that share them.
+the library and window, so `_sweep` builds it once for all the flow counts
+of one config.  Each public sweep runs its scenarios through `_sweep`, and
+builds, and so checks, every config it needs before the first table.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ByteOverflow, ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
 from .rate_engine import aggregate_rate_series, fill_periodic
-from .stats import MeanWithCI, mean_and_ci, peak_to_mean_and_cov
+from .stats import MeanWithCI, _check_two_values, mean_and_ci, peak_to_mean_and_cov
 from .trace_model import (
     INT64_MAX,
     MBPS,
@@ -195,7 +196,7 @@ def _gap_table(library, w, flows) -> _GapTable:
     lmax = max(len(t) for t in library)
     table = np.empty((len(library), 2 * lmax - 1), dtype=np.int64)
     for row, trace in zip(table, library):
-        c, n = np.asarray(trace._cum2), len(trace)
+        c, n = trace._cum2, len(trace)
         hi, gap = c[w:n + w], row[:n]
         # (hi - c[:n]) - w * (hi - c[w - 1:n + w - 1]), with no temporaries
         np.subtract(hi, c[w - 1:n + w - 1], out=gap)
@@ -240,15 +241,22 @@ def _probability_scenario(cfg, table, n, scenario_seed) -> MeanWithCI:
     return mean_and_ci(values, cfg.confidence)
 
 
+def _sweep(cfg, tag, first=0) -> list[tuple[int, MeanWithCI]]:
+    """Each of `cfg.flow_counts` as one scenario over one gap table for
+    `cfg`'s library and window; the k-th scenario is seeded by
+    ``derive_run_seed(cfg.master_seed, first + k, tag)``."""
+    table = _gap_table(cfg.trace_library, cfg.window_slots, max(cfg.flow_counts))
+    return [
+        (n, _probability_scenario(cfg, table, n,
+                                  derive_run_seed(cfg.master_seed, first + k, tag)))
+        for k, n in enumerate(cfg.flow_counts)
+    ]
+
+
 def run_probability_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Probability that the windowed average is below the instantaneous rate,
     per flow count, with mean and confidence interval over repetitions."""
-    table = _gap_table(cfg.trace_library, cfg.window_slots, max(cfg.flow_counts))
-    return SweepResult(rows=tuple(
-        (n, _probability_scenario(cfg, table, n,
-                                  derive_run_seed(cfg.master_seed, idx, 0)))
-        for idx, n in enumerate(cfg.flow_counts)
-    ))
+    return SweepResult(rows=tuple(_sweep(cfg, 0)))
 
 
 def run_rate_timeseries(
@@ -281,6 +289,10 @@ def run_burstiness_table(
     one fixed scenario per flow count.  Raises ByteOverflow where a
     scenario's `aggregate_rate_series` would not be exact."""
     check_settings(flow_counts=flow_counts)
+    # a one-window duration leaves each series one value, too few for the
+    # CoV; a silent library's series fail first, on their zero mean
+    if duration_slots == cfg.window_slots and any(t._peak for t in cfg.trace_library):
+        _check_two_values(1)
     rows = []
     for idx, n in enumerate(flow_counts):
         seed = derive_run_seed(cfg.master_seed, idx, 1)
@@ -296,23 +308,14 @@ def run_burstiness_table(
 def run_window_sweep(
     cfg: ExperimentConfig, flow_count: int, window_list: Sequence[int]
 ) -> tuple[tuple[int, MeanWithCI], ...]:
-    """Probability sweep at a fixed flow count across window lengths."""
-    check_settings(flow_counts=(flow_count,))
+    """Probability sweep at a fixed flow count across window lengths.  Each
+    window's config is built, and so checked, before any scenario runs."""
     if not window_list:
         raise ValueError("window lengths must not be empty")
-    shortest = min(len(t) for t in cfg.trace_library)
-    for w in window_list:
-        if w < 1:
-            raise ValueError("window lengths must be >= 1")
-        if w > shortest:
-            raise InsufficientHistory(
-                f"window of {w} slots exceeds shortest trace ({shortest} slots)"
-            )
-    return tuple(
-        (w, _probability_scenario(cfg, _gap_table(cfg.trace_library, w, flow_count),
-                                  flow_count, derive_run_seed(cfg.master_seed, idx, 2)))
-        for idx, w in enumerate(window_list)
-    )
+    cfgs = [replace(cfg, flow_counts=(flow_count,), window_slots=w)
+            for w in window_list]
+    return tuple((c.window_slots, ci) for k, c in enumerate(cfgs)
+                 for _, ci in _sweep(c, 2, k))
 
 
 def run_content_comparison(
@@ -320,23 +323,21 @@ def run_content_comparison(
     classes: Sequence[ContentClass],
     flow_counts: Sequence[int],
 ) -> tuple[tuple[ContentClass, int, MeanWithCI], ...]:
-    """Probability sweep restricted to each content class in turn."""
+    """Probability sweep restricted to each content class in turn.  A class
+    with no trace in the library raises ClassMissing before any scenario
+    runs."""
     check_settings(flow_counts=flow_counts)
     if not classes:
         raise ValueError("content classes must not be empty")
-    rows = []
+    cfgs = []
     for content_class in classes:
-        sub = tuple(
-            t for t in cfg.trace_library if t.content_class is content_class
-        )
+        sub = tuple(t for t in cfg.trace_library if t.content_class is content_class)
         if not sub:
             raise ClassMissing(content_class)
-        table = _gap_table(sub, cfg.window_slots, max(flow_counts))
-        for n in flow_counts:
-            scenario_seed = derive_run_seed(cfg.master_seed, len(rows), 3)
-            rows.append((content_class, n, _probability_scenario(
-                cfg, table, n, scenario_seed)))
-    return tuple(rows)
+        cfgs.append(replace(cfg, trace_library=sub, flow_counts=tuple(flow_counts)))
+    return tuple((content_class, n, ci)
+                 for k, (content_class, c) in enumerate(zip(classes, cfgs))
+                 for n, ci in _sweep(c, 3, k * len(flow_counts)))
 
 
 # -- bundled synthetic libraries ---------------------------------------------
@@ -350,34 +351,39 @@ def run_content_comparison(
 
 _LENGTH = 3000
 _FPS = 30.0
+# synth_onoff_trace parameters per kind of trace
+_BURSTY = dict(dip_prob=0.09, dip_factor=0.70, quiet_enter=0.0075,
+               quiet_exit=0.20, quiet_factor=0.02, noise=0.05)
+_SMOOTH = dict(noise=0.003)
+_CONTENT = {
+    ContentClass.NEWS: dict(noise=0.05),
+    ContentClass.SPORTS: dict(dip_prob=0.10, dip_factor=0.05, quiet_enter=0.04,
+                              quiet_exit=0.33, quiet_factor=0.05, noise=0.04),
+}
+
+
+def _synth_library(seed, recipes, content_class=ContentClass.UNKNOWN):
+    """One `synth_onoff_trace` per recipe, a (trace id, base-rate range in
+    Mbps, parameters) triple; per trace, `seed`'s stream gives a child seed
+    and then a base rate uniform in the range."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # arguments are evaluated left to right: the child seed, then the rate
+    return tuple(
+        synth_onoff_trace(_LENGTH, _FPS, int(rng.integers(0, 2 ** 62)),
+                          rng.uniform(lo, hi) * MBPS, trace_id=trace_id,
+                          content_class=content_class, **params)
+        for trace_id, (lo, hi), params in recipes
+    )
 
 
 def bursty_library(seed: int) -> tuple[VideoTrace, ...]:
     """Mixed library of ten traces: seven low-rate bursty ones, then three
     high-rate smooth ones."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    traces = []
-    for i in range(10):
-        child = int(rng.integers(0, 2 ** 62))
-        if i < 7:
-            base = rng.uniform(0.5, 0.7) * MBPS
-            traces.append(
-                synth_onoff_trace(
-                    _LENGTH, _FPS, child, base,
-                    dip_prob=0.09, dip_factor=0.70,
-                    quiet_enter=0.0075, quiet_exit=0.20, quiet_factor=0.02,
-                    noise=0.05, trace_id=f"bursty-{i}",
-                )
-            )
-        else:
-            base = rng.uniform(7.0, 9.0) * MBPS
-            traces.append(
-                synth_onoff_trace(
-                    _LENGTH, _FPS, child, base, noise=0.003,
-                    trace_id=f"smooth-{i}",
-                )
-            )
-    return tuple(traces)
+    return _synth_library(
+        seed,
+        [(f"bursty-{i}", (0.5, 0.7), _BURSTY) for i in range(7)]
+        + [(f"smooth-{i}", (7.0, 9.0), _SMOOTH) for i in range(7, 10)],
+    )
 
 
 def content_library(
@@ -386,28 +392,10 @@ def content_library(
     """Synthetic per-class library of five traces: sports-like traces swing
     hard between near-silence and full rate, news-like traces barely move.
     Only news and sports are synthesised; any other class is a ValueError."""
-    if content_class not in (ContentClass.NEWS, ContentClass.SPORTS):
+    params = _CONTENT.get(content_class)
+    if params is None:
         raise ValueError(f"no synthetic recipe for content class {content_class}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    traces = []
-    for i in range(5):
-        child = int(rng.integers(0, 2 ** 62))
-        base = rng.uniform(2.5, 4.0) * MBPS
-        name = f"{content_class.value}-{i}"
-        if content_class is ContentClass.SPORTS:
-            traces.append(
-                synth_onoff_trace(
-                    _LENGTH, _FPS, child, base,
-                    dip_prob=0.10, dip_factor=0.05,
-                    quiet_enter=0.04, quiet_exit=0.33, quiet_factor=0.05,
-                    noise=0.04, trace_id=name, content_class=content_class,
-                )
-            )
-        else:
-            traces.append(
-                synth_onoff_trace(
-                    _LENGTH, _FPS, child, base, noise=0.05,
-                    trace_id=name, content_class=content_class,
-                )
-            )
-    return tuple(traces)
+    return _synth_library(
+        seed, [(f"{content_class.value}-{i}", (2.5, 4.0), params) for i in range(5)],
+        content_class,
+    )

@@ -129,7 +129,8 @@ def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWi
             from scipy.special import stdtrit  # the quantile behind t.ppf in scipy
         except ImportError as exc:
             raise ImportError(f"a {confidence:g} confidence interval over {n} "
-                              f"repetitions needs scipy: {exc}") from exc
+                              f"repetitions needs scipy (pip install scipy): "
+                              f"{exc}") from exc
         quantile = float(stdtrit(n - 1, (1.0 + confidence) / 2.0))
     half_width = quantile * s.sample_std / math.sqrt(n)
     return MeanWithCI(

@@ -64,13 +64,14 @@ class VideoTrace:
 
     `__post_init__` also sets three attributes that are not dataclass
     fields, so `fields`, `asdict` and `astuple` never see them: `_cum2`, the
-    doubled prefix sum of `sizes` for O(1) wrapped window sums, as a
-    read-only int64 memoryview (indexing it gives Python ints);
-    `_cum2_ints`, None until `cum2_ints` builds the same sums as a tuple of
-    Python ints, whose lookups allocate no int; and `_peak`, the largest
-    frame size as a Python int, from which every int64 byte sum over the
-    trace is bounded.  None of them is part of equality, hash, repr or
-    pickle, so a trace that has the tuple behaves as one that has not.
+    doubled prefix sum of `sizes` for O(1) wrapped window sums, as the
+    read-only int64 array the Monte Carlo gap table reads; `_cum2_ints`,
+    None until `cum2_ints` builds the same sums as a tuple of Python ints,
+    which `rate_sample` reads without allocating an int; and `_peak`, the
+    largest frame size as a Python int, from which every int64 byte sum
+    over the trace is bounded.  None of them is part of equality, hash,
+    repr or pickle, so a trace that has the tuple behaves as one that has
+    not.
     """
 
     id: str
@@ -124,7 +125,7 @@ class VideoTrace:
         for column in (sizes, indices, cum2):
             column.flags.writeable = False
         for name, value in (
-            ("sizes", sizes), ("indices", indices), ("_cum2", memoryview(cum2)),
+            ("sizes", sizes), ("indices", indices), ("_cum2", cum2),
             ("_cum2_ints", None), ("_peak", peak), ("frame_types", frame_types),
         ):
             object.__setattr__(self, name, value)

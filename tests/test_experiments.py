@@ -336,3 +336,31 @@ def test_content_comparison_refuses_no_classes(cbr_library, no_table_or_draw):
     cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
     with pytest.raises(ValueError, match="content classes must not be empty"):
         run_content_comparison(cfg, (), (2, 5))
+
+
+@pytest.mark.parametrize("windows, error, message", [
+    ((2, 0), ValueError, "window_slots must be >= 1, got 0"),
+    ((2, 51), InsufficientHistory, "shortest trace has 50 slots, window needs 51"),
+], ids=["below-one", "beyond-shortest-trace"])
+def test_window_sweep_refuses_bad_window_before_any_table(
+        cbr_library, no_table_or_draw, windows, error, message):
+    cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
+    with pytest.raises(error, match=message):
+        run_window_sweep(cfg, 5, windows)
+
+
+def test_content_comparison_refuses_missing_class_before_any_scenario(
+        no_table_or_draw):
+    news = make_trace([1000, 3000] * 25, content_class=ContentClass.NEWS)
+    cfg = ExperimentConfig(trace_library=(news,), runs_per_rep=10, reps=2)
+    with pytest.raises(ClassMissing) as err:
+        run_content_comparison(cfg, (ContentClass.NEWS, ContentClass.MOVIE), (2, 5))
+    assert err.value.content_class is ContentClass.MOVIE
+
+
+def test_burstiness_of_one_end_slot_refused_before_any_draw(cbr_library, monkeypatch):
+    cfg = ExperimentConfig(trace_library=cbr_library)
+    monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
+    monkeypatch.setattr(experiments, "aggregate_rate_series", no_draw)
+    with pytest.raises(TooShort, match="coefficient of variation needs at least 2 values"):
+        run_burstiness_table(cfg, (5, 40), duration_slots=cfg.window_slots)

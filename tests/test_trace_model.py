@@ -371,7 +371,7 @@ def test_columns_are_read_only():
         trace.sizes[0] = 1
     with pytest.raises(ValueError):
         trace.indices[0] = 1
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         trace._cum2[0] = 1
     assert (trace.indices.tolist(), trace.frame_types, trace.sizes.tolist()) == (
         [2, 5, 6], "IB?", [7, 0, 9],

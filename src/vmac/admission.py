@@ -8,6 +8,7 @@ requested rate is either explicit or one of the video quality classes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,8 +58,10 @@ class LinkConfig:
     capacity: float  # bits/s
 
     def __post_init__(self):
-        if not self.capacity > 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError(
+                f"capacity must be positive and finite, got {self.capacity}"
+            )
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,10 @@ class AdmissionRequest:
     requested_rate: float  # bits/s
 
     def __post_init__(self):
-        if not self.requested_rate > 0:
+        if not 0 < self.requested_rate < math.inf:
             raise ValueError(
-                f"requested rate must be positive, got {self.requested_rate}"
+                f"requested rate must be positive and finite, got "
+                f"{self.requested_rate}"
             )
 
     @classmethod

@@ -36,8 +36,8 @@ class HoeffdingQuery:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"flow count must be >= 1, got {self.n}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if len(self.ranges) != self.n:
             raise ValueError(
                 f"expected {self.n} ranges, got {len(self.ranges)}"
@@ -57,15 +57,38 @@ def hoeffding_delta(query: HoeffdingQuery) -> BoundResult:
     Raises DegenerateRanges when every range has zero width (the exponent's
     denominator vanishes).
     """
-    denom = sum(r.width ** 2 for r in query.ranges)
-    if denom == 0.0:
-        raise DegenerateRanges(
-            "all flow rate ranges have zero width; the bound is undefined"
-        )
-    exponent = -2.0 * query.n ** 2 * query.epsilon ** 2 / denom
+    try:
+        exponent = (-2.0 * query.n ** 2 * query.epsilon ** 2
+                    / sum(r.width ** 2 for r in query.ranges))
+    except (OverflowError, ZeroDivisionError):
+        # a square left the double range, or every square is 0
+        exponent = _scaled_exponent(query)
     if exponent < _MIN_EXPONENT:
         return BoundResult(delta=math.ulp(0.0), exponent=exponent, underflow=True)
     return BoundResult(delta=math.exp(exponent), exponent=exponent)
+
+
+def _scaled_exponent(query: HoeffdingQuery) -> float:
+    """The exponent of a query where a square overflows, or where the sum of
+    the squared widths is 0: epsilon and the widths are scaled by the power
+    of two that brings the widest range into [0.5, 1), which leaves their
+    ratio as it is.  The scaling is only a fallback because a scaled
+    ``x ** 2`` can round differently from the scaled square of `x`.  An
+    infinite width gives -0.0, and an epsilon whose scaled square still
+    overflows gives -inf."""
+    widest = max(r.width for r in query.ranges)
+    if widest == 0.0:
+        raise DegenerateRanges(
+            "all flow rate ranges have zero width; the bound is undefined"
+        )
+    if widest == math.inf:
+        return -0.0
+    shift = -math.frexp(widest)[1]
+    denom = sum(math.ldexp(r.width, shift) ** 2 for r in query.ranges)
+    try:
+        return -2.0 * query.n ** 2 * math.ldexp(query.epsilon, shift) ** 2 / denom
+    except OverflowError:
+        return -math.inf
 
 
 def empirical_exceedance(

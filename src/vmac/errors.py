@@ -73,6 +73,14 @@ class TooShort(VmacError):
     """The series has too few values for the requested statistic."""
 
 
+class SeriesOverflow(VmacError):
+    """A series' sum or a squared deviation leaves the double range."""
+
+    def __init__(self, count):
+        super().__init__(f"the sum or a squared deviation of a series of "
+                         f"{count} values exceeds the largest double")
+
+
 # -- experiments --------------------------------------------------------------
 
 class EmptyLibrary(VmacError):
@@ -82,4 +90,6 @@ class EmptyLibrary(VmacError):
 class ClassMissing(VmacError):
     def __init__(self, content_class):
         self.content_class = content_class
-        super().__init__(f"no trace of content class {content_class} in library")
+        super().__init__(
+            f"no trace of content class {content_class.value} in library"
+        )

@@ -27,7 +27,13 @@ import numpy as np
 
 from .errors import ByteOverflow, ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
 from .rate_engine import aggregate_rate_series, fill_periodic
-from .stats import MeanWithCI, _check_two_values, mean_and_ci, peak_to_mean_and_cov
+from .stats import (
+    MeanWithCI,
+    _check_confidence,
+    _check_two_values,
+    mean_and_ci,
+    peak_to_mean_and_cov,
+)
 from .trace_model import (
     INT64_MAX,
     MBPS,
@@ -102,8 +108,7 @@ def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
             raise ValueError(f"{name} must be >= 1, got {value}")
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a confidence interval, got {reps}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    _check_confidence(confidence)
 
 
 @dataclass(frozen=True)

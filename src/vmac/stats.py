@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import TooShort, ZeroMean
+from .errors import SeriesOverflow, TooShort, ZeroMean
 
 
 # float(stdtrit(df, (1.0 + 0.95) / 2.0)) for df 1..60, each the repr of the
@@ -61,16 +61,22 @@ class MeanWithCI:
 
 
 def summarize(series: Sequence[float]) -> SeriesSummary:
+    """Mean, sample standard deviation, peak and count of a series.  Raises
+    SeriesOverflow when its sum or a squared deviation leaves the double
+    range, which `math.fsum` and ``** 2`` signal with OverflowError."""
     if not series:
         raise TooShort("cannot summarize an empty series")
     n = len(series)
-    mean = math.fsum(series) / n
-    if n > 1:
-        # ** 2, not x * x: the two round differently on some doubles
-        var = math.fsum([(x - mean) ** 2 for x in series]) / (n - 1)
-        std = math.sqrt(var)
-    else:
-        std = 0.0
+    try:
+        mean = math.fsum(series) / n
+        if n > 1:
+            # ** 2, not x * x: the two round differently on some doubles
+            var = math.fsum([(x - mean) ** 2 for x in series]) / (n - 1)
+            std = math.sqrt(var)
+        else:
+            std = 0.0
+    except OverflowError as exc:
+        raise SeriesOverflow(n) from exc
     return SeriesSummary(mean=mean, sample_std=std, peak=max(series), count=n)
 
 
@@ -85,13 +91,26 @@ def _check_two_values(count: int) -> None:
         raise TooShort("coefficient of variation needs at least 2 values")
 
 
+def _check_confidence(confidence: float) -> None:
+    """Refuse a confidence outside (0, 1), or so close to 1 that (1 + c) / 2
+    rounds to 1, whose t quantile is infinite.  Raises ValueError."""
+    if not (0.0 < confidence and (1.0 + confidence) / 2.0 < 1.0):
+        raise ValueError(f"confidence must be in (0, 1), with (1 + c) / 2 "
+                         f"below 1, got {confidence!r}")
+
+
 def peak_to_mean(series: Sequence[float]) -> float:
     """max/mean of a series; >= 1 for non-negative series, 1 for constant.
 
-    The same mean and peak as `summarize`, without its variance pass."""
+    The same mean and peak as `summarize`, without its variance pass, and
+    the same SeriesOverflow where the sum leaves the double range."""
     if not series:
         raise TooShort("cannot summarize an empty series")
-    return _over_mean(max(series), math.fsum(series) / len(series), "peak-to-mean")
+    try:
+        mean = math.fsum(series) / len(series)
+    except OverflowError as exc:
+        raise SeriesOverflow(len(series)) from exc
+    return _over_mean(max(series), mean, "peak-to-mean")
 
 
 def coefficient_of_variation(series: Sequence[float]) -> float:
@@ -120,8 +139,7 @@ def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWi
     n = len(rep_values)
     if n < 2:
         raise TooShort("confidence interval needs at least 2 repetitions")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    _check_confidence(confidence)
     s = summarize(rep_values)
     quantile = _T_QUANTILE_95.get(n - 1) if confidence == 0.95 else None
     if quantile is None:

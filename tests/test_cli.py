@@ -227,7 +227,7 @@ def test_sweep_flows_bad_range_is_usage_error(cbr_dir, tmp_path, capsys):
 
 
 # each subcommand that reads traces, with every required flag but --flows and
-# --traces-dir
+# --traces-dir; admit twice, with --quality and with --rate
 TRACE_COMMANDS = {
     "sweep-flows": ["sweep-flows", "--out", "x.csv"],
     "timeseries": ["timeseries", "--duration", "10", "--out", "x.csv"],
@@ -235,6 +235,7 @@ TRACE_COMMANDS = {
     "sweep-window": ["sweep-window", "--windows", "2", "--out", "x.csv"],
     "content": ["content", "--classes", "news", "--out", "x.csv"],
     "admit": ["admit", "--policy", "avg", "--capacity", "10", "--quality", "sd"],
+    "admit-rate": ["admit", "--policy", "avg", "--capacity", "10", "--rate", "1"],
 }
 
 
@@ -267,8 +268,11 @@ def test_flows_and_seed_checked_before_traces_load(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# the last: (1 + 0.9999999999999999) / 2 rounds to 1, whose t quantile is
+# infinite
 SWEEP_FLAG_ERRORS = [["--runs", "0"], ["--reps", "1"], ["--confidence", "1.5"],
-                     ["--confidence", "0"], ["--workers", "0"]]
+                     ["--confidence", "0"], ["--workers", "0"],
+                     ["--confidence", "0.9999999999999999"]]
 
 
 @pytest.mark.parametrize(
@@ -277,7 +281,9 @@ SWEEP_FLAG_ERRORS = [["--runs", "0"], ["--reps", "1"], ["--confidence", "1.5"],
      for c in ("sweep-flows", "sweep-window", "content")
      for bad in SWEEP_FLAG_ERRORS]
     + [pytest.param(c, ["--window", "0"], id=f"{c}--window=0") for c in
-       ("sweep-flows", "timeseries", "burstiness", "content", "admit")],
+       ("sweep-flows", "timeseries", "burstiness", "content", "admit")]
+    + [pytest.param("admit", ["--capacity", "inf"], id="admit--capacity=inf"),
+       pytest.param("admit-rate", ["--rate", "inf"], id="admit--rate=inf")],
 )
 def test_sweep_and_window_flags_checked_before_traces_load(
     command, bad, tmp_path, capsys, monkeypatch
@@ -360,6 +366,23 @@ def test_sums_beyond_int64_are_data_errors(wrapping_dir, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fps", ["1e160", "1e304"])
+def test_burstiness_beyond_the_double_range_is_data_error(tmp_path, capsys, fps):
+    # two flows of this trace reach 8e163 bit/s at fps 1e160, where a squared
+    # deviation exceeds the largest double, and 1.6e308 at fps 1e304, where
+    # the series' sum does
+    d = tmp_path / "fast"
+    d.mkdir()
+    (d / "t.txt").write_text(f"# fps={fps}\n1000\n0\n500\n3\n7\n900\n")
+    out = tmp_path / "x.csv"
+    argv = ["burstiness", "--traces-dir", str(d), "--flows", "2", "--window", "2",
+            "--duration", "6", "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_admit_sums_past_int64_exactly(wrapping_dir, capsys):
     # each flow's 2-slot window holds both frames, so the four windows hold
     # 2^63 + 4 bytes: 2^65 + 16 bit/s, which rounds to the double 2^65
@@ -382,7 +405,7 @@ def test_interval_without_scipy_is_usage_error(cbr_dir, tmp_path, capsys,
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "scipy" in err
+    assert "pip install scipy" in err
     assert not out.exists()
 
 
@@ -466,6 +489,17 @@ def test_content_missing_class(cbr_dir, tmp_path):
     assert code == EXIT_DATA
 
 
+def test_content_missing_class_names_the_class_typed(content_dir, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    code = main(
+        ["content", "--traces-dir", str(content_dir), "--classes", "news,movie",
+         "--flows", "2", "--out", str(out)]
+    )
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "error: no trace of content class movie in library\n"
+    assert not out.exists()
+
+
 # -- hoeffding ---------------------------------------------------------------------------
 
 def test_hoeffding_closed_form(capsys):
@@ -495,6 +529,32 @@ def test_hoeffding_nan_width_is_usage_error(capsys):
 def test_hoeffding_infinite_width(capsys):
     assert main(["hoeffding", "--n", "1", "--epsilon", "1", "--widths", "inf"]) == EXIT_OK
     assert "delta=1.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "n, epsilon, widths, status, out",
+    [
+        ("1", "1e200", "1", EXIT_OK, "delta=0.000000 exponent=-inf underflow=true\n"),
+        ("1", "1e150", "1e150", EXIT_OK, "delta=0.135335 exponent=-2.000000\n"),
+        ("2", "1e150", "1e150,1e150", EXIT_OK, "delta=0.018316 exponent=-4.000000\n"),
+        ("1", "1e200", "inf", EXIT_OK, "delta=1.000000 exponent=-0.000000\n"),
+        ("1", "1e-200", "1e-200", EXIT_OK, "delta=0.135335 exponent=-2.000000\n"),
+        ("1", "inf", "inf", EXIT_USAGE, ""),
+        ("1", "inf", "1", EXIT_USAGE, ""),
+    ],
+    ids=["epsilon-squared-overflows", "both-squares-overflow", "two-flows",
+         "infinite-width", "squares-underflow", "infinite-both", "infinite-epsilon"],
+)
+def test_hoeffding_squares_beyond_the_double_range(capsys, n, epsilon, widths,
+                                                   status, out):
+    # a square that leaves the double range gets its bound, and an infinite
+    # epsilon is refused, as a NaN one is
+    argv = ["hoeffding", "--n", n, "--epsilon", epsilon, "--widths", widths]
+    assert main(argv) == status
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if status == EXIT_USAGE:
+        assert captured.err.startswith("error: ")
 
 
 # -- admit --------------------------------------------------------------------------------

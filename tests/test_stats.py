@@ -12,7 +12,7 @@ import scipy.special  # noqa: F401
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vmac.errors import TooShort, ZeroMean
+from vmac.errors import SeriesOverflow, TooShort, ZeroMean
 from vmac.stats import (
     _T_QUANTILE_95,
     coefficient_of_variation,
@@ -120,6 +120,27 @@ def test_ci_validation():
         mean_and_ci([1.0], confidence=0.95)
     with pytest.raises(ValueError):
         mean_and_ci([1.0, 2.0], confidence=1.5)
+
+
+def test_series_beyond_the_double_range():
+    # the sum of [1e308, 1e308] overflows; of [1e160, 0.0] only a squared
+    # deviation does, which the peak-to-mean ratio does not take
+    for statistic in (summarize, peak_to_mean, coefficient_of_variation,
+                      peak_to_mean_and_cov):
+        with pytest.raises(SeriesOverflow):
+            statistic([1e308, 1e308])
+    for statistic in (summarize, coefficient_of_variation, peak_to_mean_and_cov):
+        with pytest.raises(SeriesOverflow):
+            statistic([1e160, 0.0])
+    assert peak_to_mean([1e160, 0.0]) == 2.0
+
+
+def test_ci_refuses_a_confidence_whose_quantile_is_infinite():
+    # (1 + c) / 2 rounds to 1 for c = 1 - 2^-53, whose t quantile is
+    # infinite; c = 1 - 2^-52 is the largest confidence with a finite one
+    with pytest.raises(ValueError, match="below 1"):
+        mean_and_ci([0.5] * 5, confidence=1 - 2 ** -53)
+    assert math.isfinite(mean_and_ci([0.25, 0.5], 1 - 2 ** -52).ci_half_width)
 
 
 @given(

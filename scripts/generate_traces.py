@@ -3,7 +3,9 @@
 
 Everything here is deterministic: fixed seeds, fixed parameters.  Running
 the script twice produces byte-identical files, so the bundled traces can
-be checked into version control and regenerated at will.
+be checked into version control and regenerated at will.  This script is
+the one home of every library's recipe and seed; the tests read the
+files it writes.
 
 Layout:
     traces/bursty/   mixed library of low-rate bursty and high-rate smooth
@@ -24,8 +26,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vmac.experiments import bursty_library, content_library
-from vmac.trace_model import ContentClass, VideoTrace, serialize_trace
+from vmac.trace_model import (MBPS, ContentClass, VideoTrace, serialize_trace,
+                              synth_onoff_trace)
 
 BURSTY_SEED = 42
 NEWS_SEED = 7
@@ -58,6 +60,67 @@ def synth_gop_trace(
     return VideoTrace(
         id=trace_id, sizes=sizes, fps=fps, frame_types=types,
         content_class=ContentClass.MOVIE,
+    )
+
+
+# -- synthetic libraries -------------------------------------------------------
+#
+# Parameter choices follow the observed character of VBR video aggregates:
+# most slots sit near a base rate, with occasional near-silent frames and
+# short quiet episodes a few slots long.  The "bursty" library mixes
+# low-rate bursty feeds with high-rate near-constant feeds; the content
+# libraries differ only in how violent the rate swings are.  Every trace
+# is 3 000 slots at 30 fps.
+
+_LENGTH = 3000
+_FPS = 30.0
+# synth_onoff_trace parameters per kind of trace
+_BURSTY = dict(dip_prob=0.09, dip_factor=0.70, quiet_enter=0.0075,
+               quiet_exit=0.20, quiet_factor=0.02, noise=0.05)
+_SMOOTH = dict(noise=0.003)
+_CONTENT = {
+    ContentClass.NEWS: dict(noise=0.05),
+    ContentClass.SPORTS: dict(dip_prob=0.10, dip_factor=0.05, quiet_enter=0.04,
+                              quiet_exit=0.33, quiet_factor=0.05, noise=0.04),
+}
+
+
+def _synth_library(seed, recipes, content_class=ContentClass.UNKNOWN):
+    """One `synth_onoff_trace` per recipe, a (trace id, base-rate range in
+    Mbps, parameters) triple; per trace, `seed`'s stream gives a child seed
+    and then a base rate uniform in the range."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # arguments are evaluated left to right: the child seed, then the rate
+    return tuple(
+        synth_onoff_trace(_LENGTH, _FPS, int(rng.integers(0, 2 ** 62)),
+                          rng.uniform(lo, hi) * MBPS, trace_id=trace_id,
+                          content_class=content_class, **params)
+        for trace_id, (lo, hi), params in recipes
+    )
+
+
+def bursty_library(seed: int) -> tuple[VideoTrace, ...]:
+    """Mixed library of ten traces: seven low-rate bursty ones, then three
+    high-rate smooth ones."""
+    return _synth_library(
+        seed,
+        [(f"bursty-{i}", (0.5, 0.7), _BURSTY) for i in range(7)]
+        + [(f"smooth-{i}", (7.0, 9.0), _SMOOTH) for i in range(7, 10)],
+    )
+
+
+def content_library(
+    seed: int, content_class: ContentClass
+) -> tuple[VideoTrace, ...]:
+    """Synthetic per-class library of five traces: sports-like traces swing
+    hard between near-silence and full rate, news-like traces barely move.
+    Only news and sports are synthesised; any other class is a ValueError."""
+    params = _CONTENT.get(content_class)
+    if params is None:
+        raise ValueError(f"no synthetic recipe for content class {content_class}")
+    return _synth_library(
+        seed, [(f"{content_class.value}-{i}", (2.5, 4.0), params) for i in range(5)],
+        content_class,
     )
 
 

@@ -16,8 +16,6 @@ from .experiments import (
     ExperimentConfig,
     SweepResult,
     TimeSeriesResult,
-    bursty_library,
-    content_library,
     derive_run_seed,
     draw_scenarios,
     run_burstiness_table,

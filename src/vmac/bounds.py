@@ -105,7 +105,8 @@ def empirical_exceedance(
     slots, deterministically per seed.  Only the window's length is taken
     from `window`; its end slot is resampled.  A NaN `epsilon` raises
     ValueError; flows whose `aggregate_rate_series` would not be exact
-    raise ByteOverflow.
+    raise ByteOverflow, and flows whose rates exceed the largest double
+    RateOverflow.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

@@ -53,6 +53,10 @@ class WindowOutOfRange(VmacError):
     """The measurement window extends before slot 0."""
 
 
+class RateOverflow(VmacError):
+    """A rate in bits/s exceeds the largest double."""
+
+
 class InsufficientHistory(VmacError):
     """A trace is shorter than the requested measurement window."""
 

@@ -36,11 +36,9 @@ from .stats import (
 )
 from .trace_model import (
     INT64_MAX,
-    MBPS,
     ContentClass,
     FlowInstance,
     VideoTrace,
-    synth_onoff_trace,
 )
 
 _BATCH_FLOWS = 1 << 16  # flow draws per Monte Carlo kernel batch
@@ -269,7 +267,7 @@ def run_rate_timeseries(
 ) -> TimeSeriesResult:
     """One fixed random flow set, per-slot instantaneous aggregate and
     sliding-window average for every slot where the window fits.  Raises
-    ByteOverflow where `aggregate_rate_series` would not be exact."""
+    ByteOverflow or RateOverflow where `aggregate_rate_series` does."""
     check_settings(flow_counts=(flow_count,))
     w = cfg.window_slots
     if duration_slots < w:
@@ -291,8 +289,8 @@ def run_burstiness_table(
     duration_slots: int = 300,
 ) -> tuple[BurstinessRow, ...]:
     """Peak-to-mean ratio and coefficient of variation of both rate series,
-    one fixed scenario per flow count.  Raises ByteOverflow where a
-    scenario's `aggregate_rate_series` would not be exact."""
+    one fixed scenario per flow count.  Raises ByteOverflow or RateOverflow
+    where a scenario's `aggregate_rate_series` does."""
     check_settings(flow_counts=flow_counts)
     # a one-window duration leaves each series one value, too few for the
     # CoV; a silent library's series fail first, on their zero mean
@@ -343,64 +341,3 @@ def run_content_comparison(
     return tuple((content_class, n, ci)
                  for k, (content_class, c) in enumerate(zip(classes, cfgs))
                  for n, ci in _sweep(c, 3, k * len(flow_counts)))
-
-
-# -- bundled synthetic libraries ---------------------------------------------
-#
-# Parameter choices follow the observed character of VBR video aggregates:
-# most slots sit near a base rate, with occasional near-silent frames and
-# short quiet episodes a few slots long.  The "bursty" library mixes
-# low-rate bursty feeds with high-rate near-constant feeds; the content
-# libraries differ only in how violent the rate swings are.  Every trace
-# is 3 000 slots at 30 fps.
-
-_LENGTH = 3000
-_FPS = 30.0
-# synth_onoff_trace parameters per kind of trace
-_BURSTY = dict(dip_prob=0.09, dip_factor=0.70, quiet_enter=0.0075,
-               quiet_exit=0.20, quiet_factor=0.02, noise=0.05)
-_SMOOTH = dict(noise=0.003)
-_CONTENT = {
-    ContentClass.NEWS: dict(noise=0.05),
-    ContentClass.SPORTS: dict(dip_prob=0.10, dip_factor=0.05, quiet_enter=0.04,
-                              quiet_exit=0.33, quiet_factor=0.05, noise=0.04),
-}
-
-
-def _synth_library(seed, recipes, content_class=ContentClass.UNKNOWN):
-    """One `synth_onoff_trace` per recipe, a (trace id, base-rate range in
-    Mbps, parameters) triple; per trace, `seed`'s stream gives a child seed
-    and then a base rate uniform in the range."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    # arguments are evaluated left to right: the child seed, then the rate
-    return tuple(
-        synth_onoff_trace(_LENGTH, _FPS, int(rng.integers(0, 2 ** 62)),
-                          rng.uniform(lo, hi) * MBPS, trace_id=trace_id,
-                          content_class=content_class, **params)
-        for trace_id, (lo, hi), params in recipes
-    )
-
-
-def bursty_library(seed: int) -> tuple[VideoTrace, ...]:
-    """Mixed library of ten traces: seven low-rate bursty ones, then three
-    high-rate smooth ones."""
-    return _synth_library(
-        seed,
-        [(f"bursty-{i}", (0.5, 0.7), _BURSTY) for i in range(7)]
-        + [(f"smooth-{i}", (7.0, 9.0), _SMOOTH) for i in range(7, 10)],
-    )
-
-
-def content_library(
-    seed: int, content_class: ContentClass
-) -> tuple[VideoTrace, ...]:
-    """Synthetic per-class library of five traces: sports-like traces swing
-    hard between near-silence and full rate, news-like traces barely move.
-    Only news and sports are synthesised; any other class is a ValueError."""
-    params = _CONTENT.get(content_class)
-    if params is None:
-        raise ValueError(f"no synthetic recipe for content class {content_class}")
-    return _synth_library(
-        seed, [(f"{content_class.value}-{i}", (2.5, 4.0), params) for i in range(5)],
-        content_class,
-    )

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ByteOverflow, MixedFps, WindowOutOfRange
+from .errors import ByteOverflow, MixedFps, RateOverflow, WindowOutOfRange
 from .trace_model import BITS_PER_BYTE, INT64_MAX, FlowInstance
 
 
@@ -112,7 +112,8 @@ def aggregate_rate_series(
     Raises ByteOverflow when the flows' peak frames, summed, do not bound
     the cumsum within int64 and every window's bits within 2**53, where a
     double holds each integer exactly: beyond it the series could differ
-    from `rate_sample`."""
+    from `rate_sample`.  Raises RateOverflow when a rate exceeds the largest
+    double."""
     fps = _shared_fps(flows) if flows else 0.0
     agg = np.zeros(n_slots, dtype=np.int64)
     row = np.empty(n_slots, dtype=np.int64)
@@ -131,8 +132,14 @@ def aggregate_rate_series(
         fill_periodic(row, m)
         agg += row
     cum = np.concatenate([[0], np.cumsum(agg)])
-    inst = agg[w - 1:] * BITS_PER_BYTE * fps
-    avg = (cum[w:] - cum[:-w]) * BITS_PER_BYTE / w * fps
+    try:
+        with np.errstate(over="raise"):
+            inst = agg[w - 1:] * BITS_PER_BYTE * fps
+            avg = (cum[w:] - cum[:-w]) * BITS_PER_BYTE / w * fps
+    except FloatingPointError:
+        raise RateOverflow(
+            f"rate series exceeds the largest double: {len(flows)} flows "
+            f"at fps={fps:g}") from None
     return inst, avg
 
 

@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BoundsTooTight, ByteOverflow, EmptyTrace, MalformedLine, MissingFps
+from .errors import (BoundsTooTight, ByteOverflow, EmptyTrace, MalformedLine,
+                     MissingFps, RateOverflow)
 
 BITS_PER_BYTE = 8
 MBPS = 1_000_000.0
@@ -183,13 +184,19 @@ class VideoTrace:
                 + sum(self.sizes[:max(0, end - n)].tolist()))
 
     def summary_rates(self) -> tuple[float, float, float]:
-        """(min, mean, peak) slot rate in bits/s."""
-        factor = BITS_PER_BYTE * self.fps
-        return (
-            float(self.sizes.min()) * factor,
-            float(self.sizes.mean()) * factor,
-            float(self.sizes.max()) * factor,
+        """(min, mean, peak) slot rate in bits/s.  Raises RateOverflow when
+        one exceeds the largest double."""
+        # bytes times 8, then fps: a zero frame gives 0 even where 8 * fps
+        # would be inf, and elsewhere the product is the same double
+        rates = (
+            float(self.sizes.min()) * BITS_PER_BYTE * self.fps,
+            float(self.sizes.mean()) * BITS_PER_BYTE * self.fps,
+            float(self.sizes.max()) * BITS_PER_BYTE * self.fps,
         )
+        if math.inf in rates:
+            raise RateOverflow(f"trace {self.id}: a rate at fps={self.fps:g} "
+                               "exceeds the largest double")
+        return rates
 
 
 @dataclass(frozen=True)

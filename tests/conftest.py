@@ -1,12 +1,12 @@
 """Shared fixtures: tiny hand-built traces plus the bundled libraries."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import vmac
-from vmac.experiments import bursty_library
-from vmac.trace_model import BITS_PER_BYTE, VideoTrace
+from vmac.trace_model import BITS_PER_BYTE, VideoTrace, parse_trace_file
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRACES_DIR = REPO_ROOT / "traces"
@@ -16,6 +16,22 @@ def pytest_report_header(config):
     # pyproject's `pythonpath` puts this checkout's `src` ahead of
     # PYTHONPATH, so this is the checkout under test whatever PYTHONPATH says
     return f"vmac: {vmac.__file__}"
+
+
+def generate_traces():
+    """`scripts/generate_traces.py`, loaded as a module."""
+    path = REPO_ROOT / "scripts" / "generate_traces.py"
+    spec = importlib.util.spec_from_file_location("generate_traces", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bundled_library(name):
+    """The traces of `traces/<name>/`, parsed in file-name order, as the
+    CLI's `--traces-dir` reads them."""
+    paths = sorted((TRACES_DIR / name).glob("*.txt"))
+    return tuple(parse_trace_file(p) for p in paths)
 
 
 def make_trace(sizes, fps=30.0, trace_id="t", content_class=None):
@@ -48,7 +64,7 @@ def cbr_library():
 
 @pytest.fixture(scope="session")
 def bursty_lib():
-    return bursty_library(42)
+    return bundled_library("bursty")
 
 
 @pytest.fixture(scope="session")

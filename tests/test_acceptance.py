@@ -2,9 +2,9 @@
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or on
 failure) and asserts the claim at its stated tolerance.  All randomness is
-pinned: the bundled bursty library uses generator seed 42, the single-seed
-statistical checks use master seed 26, and the multi-seed robustness checks
-sweep master seeds 1 through 10.
+pinned: the libraries are the bundled files under ``traces/``, the
+single-seed statistical checks use master seed 26, and the multi-seed
+robustness checks sweep master seeds 1 through 10.
 """
 
 import math
@@ -12,9 +12,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
-
-import pytest
 
 from vmac.admission import (
     AdmissionRequest,
@@ -27,8 +24,6 @@ from vmac.admission import (
 from vmac.bounds import HoeffdingQuery, empirical_exceedance, hoeffding_delta
 from vmac.experiments import (
     ExperimentConfig,
-    bursty_library,
-    content_library,
     run_burstiness_table,
     run_probability_sweep,
     run_rate_timeseries,
@@ -42,25 +37,17 @@ from vmac.trace_model import (
     FlowInstance,
     FlowRateBounds,
     VideoTrace,
-    parse_trace_file,
     synth_bounded_trace,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRACES_DIR = REPO_ROOT / "traces"
+from .conftest import REPO_ROOT, TRACES_DIR, bundled_library
 
-LIBRARY_SEED = 42   # generator seed of the bundled bursty library
 PINNED_SEED = 26    # master seed for the single-seed statistical checks
 ROBUSTNESS_SEEDS = range(1, 11)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-@pytest.fixture(scope="module")
-def bursty_lib():
-    return bursty_library(LIBRARY_SEED)
 
 
 def test_criterion_1_hoeffding_bound_holds_empirically():
@@ -163,10 +150,7 @@ def test_criterion_3_burstiness_ordering(bursty_lib):
     ratio_avg = cov[(40, "average")] / cov[(5, "average")]
     ratio_ok = ratio_inst <= 0.15 and ratio_avg <= 0.15
 
-    samples = tuple(
-        parse_trace_file(p)
-        for p in sorted((TRACES_DIR / "samples").glob("*.txt"))
-    )
+    samples = bundled_library("samples")
     sample_cfg = ExperimentConfig(trace_library=samples, master_seed=PINNED_SEED)
     sample_rows = run_burstiness_table(sample_cfg, (5,))
     sample_pmr = {r.rate_kind: r.peak_to_mean for r in sample_rows}
@@ -216,9 +200,7 @@ def test_criterion_4_window_length_effect(bursty_lib):
 def test_criterion_5_content_effect():
     """Sports-like beats news-like at 5 flows and the gap shrinks at 40,
     in at least 8 of 10 master seeds."""
-    library = content_library(7, ContentClass.NEWS) + content_library(
-        8, ContentClass.SPORTS
-    )
+    library = bundled_library("content")
     wins = 0
     for master in ROBUSTNESS_SEEDS:
         cfg = ExperimentConfig(

@@ -65,6 +65,8 @@ def test_query_validation():
         HoeffdingQuery(n=2, epsilon=1.0, ranges=(FlowRateBounds(0.0, 1.0),))
     with pytest.raises(ValueError):
         HoeffdingQuery(n=1, epsilon=0.0, ranges=(FlowRateBounds(0.0, 1.0),))
+    with pytest.raises(ValueError):
+        HoeffdingQuery(n=0, epsilon=1.0, ranges=())
 
 
 def test_underflow_keeps_delta_positive():
@@ -173,6 +175,9 @@ def test_exceedance_requires_history():
 def test_exceedance_refuses_no_flows():
     with pytest.raises(ValueError, match="needs at least one flow"):
         empirical_exceedance([], MeasurementWindow(4, 5), 1.0, 10, seed=0)
+    flows = [FlowInstance(trace=make_trace([1000] * 5), start_offset=0)]
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, 0, seed=0)
 
 
 def test_exceedance_refuses_nan_epsilon_and_keeps_infinities():

@@ -1,6 +1,7 @@
 """Command-line interface: CSV schemas, determinism and exit statuses."""
 
 import argparse
+import hashlib
 import os
 import sys
 from unittest import mock
@@ -218,12 +219,13 @@ def test_seed_env_var_used_when_flag_absent(cbr_dir, tmp_path, monkeypatch):
 
 def test_sweep_flows_bad_range_is_usage_error(cbr_dir, tmp_path, capsys):
     out = tmp_path / "x.csv"
-    code = main(
-        ["sweep-flows", "--traces-dir", str(cbr_dir), "--flows", "40:5:5",
-         "--out", str(out)]
-    )
-    assert code == EXIT_USAGE
-    assert "error" in capsys.readouterr().err
+    for flows in ("40:5:5", "1:2"):
+        code = main(
+            ["sweep-flows", "--traces-dir", str(cbr_dir), "--flows", flows,
+             "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
 
 
 # each subcommand that reads traces, with every required flag but --flows and
@@ -366,14 +368,20 @@ def test_sums_beyond_int64_are_data_errors(wrapping_dir, tmp_path, capsys, comma
     assert not out.exists()
 
 
+def fast_dir(tmp_path, fps):
+    """One trace of frames 1000, 0, 500, 3, 7 and 900 bytes at `fps`."""
+    d = tmp_path / "fast"
+    d.mkdir()
+    (d / "t.txt").write_text(f"# fps={fps}\n1000\n0\n500\n3\n7\n900\n")
+    return d
+
+
 @pytest.mark.parametrize("fps", ["1e160", "1e304"])
 def test_burstiness_beyond_the_double_range_is_data_error(tmp_path, capsys, fps):
     # two flows of this trace reach 8e163 bit/s at fps 1e160, where a squared
     # deviation exceeds the largest double, and 1.6e308 at fps 1e304, where
     # the series' sum does
-    d = tmp_path / "fast"
-    d.mkdir()
-    (d / "t.txt").write_text(f"# fps={fps}\n1000\n0\n500\n3\n7\n900\n")
+    d = fast_dir(tmp_path, fps)
     out = tmp_path / "x.csv"
     argv = ["burstiness", "--traces-dir", str(d), "--flows", "2", "--window", "2",
             "--duration", "6", "--out", str(out)]
@@ -381,6 +389,45 @@ def test_burstiness_beyond_the_double_range_is_data_error(tmp_path, capsys, fps)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "timeseries", "burstiness", "admit"])
+def test_rates_beyond_the_double_range_are_data_errors(tmp_path, capsys, command):
+    # at fps 1e306 a 1000-byte frame is 8e309 bit/s, beyond the largest double
+    d = fast_dir(tmp_path, "1e306")
+    out = tmp_path / "x.csv"
+    argv = {
+        "ingest": ["ingest", str(d / "t.txt")],
+        "timeseries": ["timeseries", "--duration", "6", "--out", str(out)],
+        "burstiness": ["burstiness", "--duration", "6", "--out", str(out)],
+        "admit": ["admit", "--policy", "avg", "--capacity", "100", "--rate", "1"],
+    }[command]
+    if command != "ingest":
+        argv += ["--traces-dir", str(d), "--flows", "2", "--window", "2"]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "exceeds the largest double" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fps, argv, digest", [
+    # three flows at fps 1e304 reach 1.52e308 bit/s, inside the double range
+    ("1e304", ["timeseries", "--flows", "3", "--duration", "6"],
+     "bfe9319f6f448f898d4b3a03a3106d0992cba2e4c0bdb5c21f6422b78ad8e7e9"),
+    # the sweep compares bytes and forms no rate
+    ("1e306", ["sweep-flows", "--flows", "2"],
+     "c06e0a2c55be0946f27a48ca2156bf9ae7017d8d9a967f710952c432c2077b8a"),
+])
+def test_rates_near_the_double_range_keep_their_bytes(tmp_path, capsys, fps,
+                                                       argv, digest):
+    out = tmp_path / "x.csv"
+    argv += ["--traces-dir", str(fast_dir(tmp_path, fps)), "--window", "2",
+             "--seed", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_admit_sums_past_int64_exactly(wrapping_dir, capsys):

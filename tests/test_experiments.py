@@ -14,8 +14,6 @@ from vmac.errors import (
 from vmac.experiments import (
     BurstinessRow,
     ExperimentConfig,
-    bursty_library,
-    content_library,
     derive_run_seed,
     run_burstiness_table,
     run_content_comparison,
@@ -26,7 +24,7 @@ from vmac.experiments import (
 from vmac.stats import coefficient_of_variation, peak_to_mean
 from vmac.trace_model import ContentClass
 
-from .conftest import make_trace
+from .conftest import bundled_library, generate_traces, make_trace
 
 
 # -- seed derivation -----------------------------------------------------------
@@ -239,13 +237,11 @@ def test_content_class_missing(bursty_lib):
 )
 def test_content_library_rejects_class_without_recipe(content_class):
     with pytest.raises(ValueError, match="no synthetic recipe"):
-        content_library(7, content_class)
+        generate_traces().content_library(7, content_class)
 
 
 def test_content_comparison_shape():
-    lib = content_library(7, ContentClass.NEWS) + content_library(
-        8, ContentClass.SPORTS
-    )
+    lib = bundled_library("content")
     cfg = ExperimentConfig(
         trace_library=lib, runs_per_rep=30, reps=2, master_seed=1
     )

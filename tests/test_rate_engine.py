@@ -30,6 +30,7 @@ def test_instantaneous_is_sum_of_flows():
 
 def test_instantaneous_empty_flow_set_is_zero():
     assert instantaneous_aggregate_rate([], 3) == 0.0
+    assert average_aggregate_rate([], MeasurementWindow(4, 5)) == 0.0
 
 
 def test_instantaneous_single_flow_identity():

@@ -23,6 +23,7 @@ from vmac.errors import (
     EmptyTrace,
     MalformedLine,
     MissingFps,
+    RateOverflow,
     TraceError,
 )
 from vmac.rate_engine import (
@@ -187,6 +188,8 @@ def test_empty_file_rejected(tmp_path):
     p.write_text("# fps=30\n")
     with pytest.raises(EmptyTrace):
         parse_trace_file(p)
+    with pytest.raises(EmptyTrace):
+        VideoTrace(id="t", sizes=[], fps=30.0)
 
 
 def test_missing_fps_rejected(tmp_path):
@@ -247,6 +250,13 @@ def test_window_bytes_wraps_and_matches_naive():
 
 
 # -- int64 exactness ------------------------------------------------------------
+
+def test_summary_rates_beyond_the_double_range():
+    # a zero frame is 0 bit/s at any fps, also where 8 * fps is inf
+    assert VideoTrace(id="t", sizes=[0], fps=1e308).summary_rates() == (0.0, 0.0, 0.0)
+    with pytest.raises(RateOverflow):
+        VideoTrace(id="t", sizes=[0, 1], fps=1e308).summary_rates()
+
 
 def test_frame_size_beyond_int64_rejected(tmp_path):
     p = tmp_path / "huge.txt"
@@ -331,6 +341,10 @@ def test_invalid_bounds_rejected():
         FlowRateBounds(-1.0, 1.0)
     with pytest.raises(ValueError):
         FlowRateBounds(0.0, math.nan)
+    with pytest.raises(ValueError, match="length must be positive"):
+        synth_bounded_trace(0, FlowRateBounds(0.0, 1.0), fps=30.0, seed=0)
+    with pytest.raises(ValueError, match="length must be positive"):
+        synth_onoff_trace(0, 30.0, 0, 1 * MBPS)
 
 
 # -- bursty synthesis ---------------------------------------------------------
@@ -386,6 +400,7 @@ def test_equality_and_hash_by_value():
     b = VideoTrace(id="t", sizes=np.array([1, 2]), fps=30.0, frame_types="IP")
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    assert (a == "t") is False
     assert a != VideoTrace(id="t", sizes=[1, 3], fps=30.0, frame_types="IP")
     assert a != VideoTrace(id="t", sizes=[1, 2], fps=30.0, frame_types="IB")
     assert a != VideoTrace(id="t", sizes=[1, 2], fps=30.0, frame_types="IP",

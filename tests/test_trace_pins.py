@@ -8,14 +8,13 @@ that moves one byte or one parsed value fails here.
 """
 
 import hashlib
-import importlib.util
 
 import numpy as np
 import pytest
 
 from vmac.trace_model import parse_trace_file
 
-from .conftest import REPO_ROOT, TRACES_DIR
+from .conftest import TRACES_DIR, generate_traces
 
 LIBRARIES = ("bursty", "content", "samples")
 
@@ -50,14 +49,6 @@ PARSED = {
 }
 
 
-def _generate_traces():
-    path = REPO_ROOT / "scripts" / "generate_traces.py"
-    spec = importlib.util.spec_from_file_location("generate_traces", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def parsed_digest(path) -> str:
     trace = parse_trace_file(path)
     h = hashlib.sha256()
@@ -69,7 +60,7 @@ def parsed_digest(path) -> str:
 
 
 def test_generator_rebuilds_bundled_traces(tmp_path):
-    _generate_traces().main(tmp_path)
+    generate_traces().main(tmp_path)
     for library in LIBRARIES:
         bundled = sorted(p.name for p in (TRACES_DIR / library).glob("*.txt"))
         rebuilt = sorted(p.name for p in (tmp_path / library).glob("*.txt"))

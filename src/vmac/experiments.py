@@ -262,6 +262,18 @@ def run_probability_sweep(cfg: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=tuple(_sweep(cfg, 0)))
 
 
+def _rate_series(cfg, flow_count, duration_slots, seed):
+    """Both float64 rate series of one seeded flow set of `flow_count`
+    flows, from `aggregate_rate_series` over `duration_slots` slots."""
+    w = cfg.window_slots
+    if duration_slots < w:
+        raise InsufficientHistory(
+            f"duration of {duration_slots} slots cannot fit a {w}-slot window"
+        )
+    flows, _ = draw_flow_set(cfg, flow_count, seed)
+    return aggregate_rate_series(flows, w, duration_slots)
+
+
 def run_rate_timeseries(
     cfg: ExperimentConfig, flow_count: int, duration_slots: int, seed: int
 ) -> TimeSeriesResult:
@@ -269,15 +281,9 @@ def run_rate_timeseries(
     sliding-window average for every slot where the window fits.  Raises
     ByteOverflow or RateOverflow where `aggregate_rate_series` does."""
     check_settings(flow_counts=(flow_count,))
-    w = cfg.window_slots
-    if duration_slots < w:
-        raise InsufficientHistory(
-            f"duration of {duration_slots} slots cannot fit a {w}-slot window"
-        )
-    flows, _ = draw_flow_set(cfg, flow_count, seed)
-    inst, avg = aggregate_rate_series(flows, w, duration_slots)
+    inst, avg = _rate_series(cfg, flow_count, duration_slots, seed)
     return TimeSeriesResult(
-        slots=tuple(range(w - 1, duration_slots)),
+        slots=tuple(range(cfg.window_slots - 1, duration_slots)),
         instantaneous=tuple(inst.tolist()),
         average=tuple(avg.tolist()),
     )
@@ -289,8 +295,9 @@ def run_burstiness_table(
     duration_slots: int = 300,
 ) -> tuple[BurstinessRow, ...]:
     """Peak-to-mean ratio and coefficient of variation of both rate series,
-    one fixed scenario per flow count.  Raises ByteOverflow or RateOverflow
-    where a scenario's `aggregate_rate_series` does."""
+    one fixed scenario per flow count, each summarized from its float64
+    arrays.  Raises ByteOverflow or RateOverflow where a scenario's
+    `aggregate_rate_series` does."""
     check_settings(flow_counts=flow_counts)
     # a one-window duration leaves each series one value, too few for the
     # CoV; a silent library's series fail first, on their zero mean
@@ -299,11 +306,8 @@ def run_burstiness_table(
     rows = []
     for idx, n in enumerate(flow_counts):
         seed = derive_run_seed(cfg.master_seed, idx, 1)
-        ts = run_rate_timeseries(cfg, n, duration_slots, seed)
-        for kind, series in (
-            ("instantaneous", ts.instantaneous),
-            ("average", ts.average),
-        ):
+        inst, avg = _rate_series(cfg, n, duration_slots, seed)
+        for kind, series in (("instantaneous", inst), ("average", avg)):
             rows.append(BurstinessRow(n, kind, *peak_to_mean_and_cov(series)))
     return tuple(rows)
 

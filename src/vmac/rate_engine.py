@@ -8,6 +8,7 @@ instantaneous rate bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,13 +63,22 @@ def _shared_fps(flows: Sequence[FlowInstance]) -> float:
     return fps
 
 
+def _rate_overflow(flows, fps) -> RateOverflow:
+    return RateOverflow(f"a rate of {len(flows)} flows at fps={fps:g} exceeds "
+                        "the largest double")
+
+
 def instantaneous_aggregate_rate(flows: Sequence[FlowInstance], slot: int) -> float:
-    """Sum of all flows' rates at one frame slot, in bits/s; 0 for no flows."""
+    """Sum of all flows' rates at one frame slot, in bits/s; 0 for no flows.
+    Raises RateOverflow when it exceeds the largest double."""
     if not flows:
         return 0.0
     fps = _shared_fps(flows)
     total_bytes = sum(f.trace.size_at(f.start_offset + slot) for f in flows)
-    return total_bytes * BITS_PER_BYTE * fps
+    rate = total_bytes * BITS_PER_BYTE * fps
+    if rate == inf:
+        raise _rate_overflow(flows, fps)
+    return rate
 
 
 def average_aggregate_rate(
@@ -78,6 +88,7 @@ def average_aggregate_rate(
 
     Equals the time integral of the aggregate rate over the window divided
     by its duration, exactly, because rates are constant within a slot.
+    Raises RateOverflow when it exceeds the largest double.
     """
     if not flows:
         return 0.0
@@ -88,7 +99,10 @@ def average_aggregate_rate(
     )
     # integer bytes summed exactly; divide before the fps multiply so the
     # CBR case reduces to the instantaneous expression bit-for-bit
-    return total_bytes * BITS_PER_BYTE / window.length_slots * fps
+    rate = total_bytes * BITS_PER_BYTE / window.length_slots * fps
+    if rate == inf:
+        raise _rate_overflow(flows, fps)
+    return rate
 
 
 def fill_periodic(row: np.ndarray, m: int) -> None:
@@ -137,9 +151,7 @@ def aggregate_rate_series(
             inst = agg[w - 1:] * BITS_PER_BYTE * fps
             avg = (cum[w:] - cum[:-w]) * BITS_PER_BYTE / w * fps
     except FloatingPointError:
-        raise RateOverflow(
-            f"rate series exceeds the largest double: {len(flows)} flows "
-            f"at fps={fps:g}") from None
+        raise _rate_overflow(flows, fps) from None
     return inst, avg
 
 
@@ -151,7 +163,8 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
     prefix sum, read as the tuple of ints that `VideoTrace.cum2_ints` builds
     on a trace's first sample and added into three running sums; the bytes
     and rates equal `instantaneous_aggregate_rate` and
-    `average_aggregate_rate` exactly, for any window length.
+    `average_aggregate_rate` exactly, for any window length.  Raises
+    RateOverflow, as they do, when a rate exceeds the largest double.
     """
     fps = flows[0].trace.fps if flows else 0.0
     w = window.length_slots
@@ -177,7 +190,8 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
         last_lo += c[s + last]
         if whole:
             periods += whole * c[n]
-    inst = hi - last_lo
-    win = periods + hi - lo
-    return new_record(RateSample, (inst * BITS_PER_BYTE * fps,
-                                   win * BITS_PER_BYTE / w * fps, window))
+    inst = (hi - last_lo) * BITS_PER_BYTE * fps
+    avg = (periods + hi - lo) * BITS_PER_BYTE / w * fps
+    if inst == inf or avg == inf:
+        raise _rate_overflow(flows, fps)
+    return new_record(RateSample, (inst, avg, window))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmac.errors import MixedFps, WindowOutOfRange
+from vmac.errors import MixedFps, RateOverflow, WindowOutOfRange
 from vmac.rate_engine import (
     MeasurementWindow,
     RateSample,
@@ -210,3 +210,31 @@ def test_rate_sample_is_exact_when_running_sums_pass_int64():
         assert sample.window is window
         assert sum(f.trace.window_bytes(f.start_offset + window.start_slot, w)
                    for f in flows) > 2 ** 63
+
+
+@pytest.mark.parametrize("sizes, fps, end, w, overflows", [
+    # at fps 1e306 a 1000-byte frame is 8e309 bit/s, beyond the largest
+    # double; a 3-byte frame is 2.4e307 bit/s, within it
+    ([1000, 0, 500, 3, 7, 900], 1e306, 0, 1, ("inst", "avg")),
+    ([1000, 0, 500, 3, 7, 900], 1e306, 3, 2, ("avg",)),
+    # the last slot's 8e308 bit/s overflows, the window's mean 1e308 does not
+    ([0] * 7 + [1000], 1e305, 7, 8, ("inst",)),
+    ([1000, 0, 500, 3, 7, 900], 1e304, 5, 6, ()),
+])
+def test_rates_beyond_the_double_range(sizes, fps, end, w, overflows):
+    flows = [FlowInstance(trace=make_trace(sizes, fps=fps), start_offset=0)]
+    window = MeasurementWindow(end, w)
+    rates = {"inst": lambda: instantaneous_aggregate_rate(flows, end),
+             "avg": lambda: average_aggregate_rate(flows, window)}
+    for kind, rate in rates.items():
+        if kind in overflows:
+            with pytest.raises(RateOverflow, match="exceeds the largest double"):
+                rate()
+        else:
+            assert rate() < float("inf")
+    if overflows:
+        with pytest.raises(RateOverflow, match="exceeds the largest double"):
+            rate_sample(flows, window)
+    else:
+        sample = rate_sample(flows, window)
+        assert (sample.instantaneous, sample.average) == (rates["inst"](), rates["avg"]())

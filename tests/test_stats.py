@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 # imported up front so that no hypothesis example pays the one-off import
 # of scipy.special, which an untabulated interval triggers, in its deadline
@@ -12,9 +13,10 @@ import scipy.special  # noqa: F401
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vmac.errors import SeriesOverflow, TooShort, ZeroMean
+from vmac.errors import SeriesOverflow, TooShort, VmacError, ZeroMean
 from vmac.stats import (
     _T_QUANTILE_95,
+    SeriesSummary,
     coefficient_of_variation,
     mean_and_ci,
     peak_to_mean,
@@ -50,10 +52,81 @@ def test_pmr_at_least_one(series):
     assert peak_to_mean(series) >= 1.0 - 1e-12
 
 
-@given(st.lists(st.floats(0.0, 1e9), min_size=1).filter(lambda s: sum(s) > 0))
+# the filter keeps series whose mean is positive: [0.0, 5e-324] sums above
+# 0, but its mean rounds to 0.0, for which both calls raise ZeroMean
+@given(st.lists(st.floats(0.0, 1e9), min_size=1)
+       .filter(lambda s: math.fsum(s) / len(s) > 0))
 def test_pmr_is_peak_over_mean_of_summary(series):
     s = summarize(series)
     assert peak_to_mean(series) == s.peak / s.mean
+
+
+def squares_by_pow(xs):
+    """``v ** 2`` of each double, inf where Python raises OverflowError."""
+    def square(v):
+        try:
+            return v ** 2
+        except OverflowError:
+            return math.inf
+    return np.array([square(v) for v in xs.tolist()])
+
+
+def test_float_power_squares_as_python_pow():
+    # summarize squares its deviations with np.float_power, which must
+    # round every square as Python's ** 2 does: both call libm pow(x, 2.0)
+    rng = np.random.Generator(np.random.PCG64(20))
+    n = 10 ** 6
+    magnitudes = 10.0 ** rng.uniform(-160.0, 160.0, n)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edge = math.sqrt(np.finfo(np.float64).max)  # about 1.34e154
+    special = [0.0, -0.0, tiny, -tiny, 3 * tiny, 2.0 ** -1050, -(2.0 ** -1060),
+               math.inf, -math.inf, math.nan, -math.nan,
+               edge, -edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf),
+               -np.nextafter(edge, math.inf), 1.34e154, -1.35e154]
+    x = np.concatenate([magnitudes * rng.choice([-1.0, 1.0], n), special])
+    with np.errstate(over="ignore"):
+        got = np.float_power(x, 2.0)
+    want = squares_by_pow(x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    # the draw reaches past the edge, where the squares overflow
+    assert np.count_nonzero(np.isinf(want[:n])) > 0
+
+
+def reference_summary(xs):
+    """`summarize` in pure Python, squaring each deviation with ``** 2``.
+    Raises OverflowError where the sum, a deviation or a square overflows."""
+    n = len(xs)
+    m = math.fsum(xs) / n
+    std = 0.0
+    if n > 1:
+        squares = [(v - m) ** 2 for v in xs]
+        if math.inf in squares:  # the inputs are finite: a deviation overflowed
+            raise OverflowError("deviation")
+        std = math.sqrt(math.fsum(squares) / (n - 1))
+    return SeriesSummary(mean=m, sample_std=std, peak=max(xs), count=n)
+
+
+EDGE_FLOATS = st.sampled_from([
+    5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.34e154, -1.35e154,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+])
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-1e6, 1e6), EDGE_FLOATS), min_size=1))
+def test_summarize_equals_the_python_reference(xs):
+    try:
+        want = reference_summary(xs)
+    except OverflowError:
+        with pytest.raises(SeriesOverflow):
+            summarize(xs)
+        return
+    got = summarize(xs)
+    assert got.count == want.count
+    for name in ("mean", "sample_std", "peak"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
 
 
 def test_summarize_squares_deviations_with_pow():
@@ -228,7 +301,7 @@ def test_default_sweep_flows_loads_no_scipy(tmp_path):
     assert len(out.read_text().splitlines()) == 8
 
 
-@pytest.mark.parametrize("series, pmr_error, cov_error", [
+BURSTINESS_ERROR_CASES = [
     ([], "cannot summarize an empty series",
      "coefficient of variation needs at least 2 values"),
     ([0.0], "peak-to-mean needs a positive mean, got 0.0",
@@ -238,7 +311,10 @@ def test_default_sweep_flows_loads_no_scipy(tmp_path):
      "coefficient of variation needs a positive mean, got 0.0"),
     ([2.0, -2.0], "peak-to-mean needs a positive mean, got 0.0",
      "coefficient of variation needs a positive mean, got 0.0"),
-])
+]
+
+
+@pytest.mark.parametrize("series, pmr_error, cov_error", BURSTINESS_ERROR_CASES)
 def test_burstiness_errors_and_their_messages(series, pmr_error, cov_error):
     """Each index's error, and `peak_to_mean_and_cov` raising the first of
     the two, with the same message."""
@@ -253,3 +329,21 @@ def test_burstiness_errors_and_their_messages(series, pmr_error, cov_error):
             assert got[1] == message
     first_error = pmr if pmr_error is not None else cov
     assert outcome(peak_to_mean_and_cov) == first_error
+
+
+@pytest.mark.parametrize("series", [case[0] for case in BURSTINESS_ERROR_CASES] + [
+    [1.0, 3.0], [1.0, 1.0, 2.0], [4.0, 4.0, 4.0], [0.5, -0.0, 5e-324, 2.5],
+    [1e308, 1e308], [1e160, 0.0],
+])
+@pytest.mark.parametrize("statistic", [summarize, peak_to_mean,
+                                       coefficient_of_variation,
+                                       peak_to_mean_and_cov, mean_and_ci])
+def test_statistics_of_an_array_equal_those_of_its_tuple(statistic, series):
+    """The same result, or the same error and message, for a float64 array
+    as for the tuple of its values."""
+    def outcome(values):
+        try:
+            return statistic(values)
+        except VmacError as exc:
+            return type(exc), str(exc)
+    assert outcome(np.array(series, dtype=np.float64)) == outcome(tuple(series))

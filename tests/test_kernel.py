@@ -214,6 +214,48 @@ def test_rate_series_matches_per_quantity_rates_at_every_slot(
         )
 
 
+def shared_trace_flows():
+    """Five flows on two trace objects, three of them on one."""
+    a = make_trace([5, 900, 3, 0, 70, 2 ** 20], trace_id="a")
+    b = make_trace([11, 4, 4000], trace_id="b")
+    return [FlowInstance(trace=t, start_offset=s)
+            for t, s in ((a, 0), (b, 2), (a, 5), (a, 3), (b, 2))]
+
+
+def equal_trace_flows():
+    """Two equal traces held as distinct objects, one flow on each and a
+    third on the first."""
+    a = make_trace([8, 1, 600, 42, 0], trace_id="x")
+    b = make_trace([8, 1, 600, 42, 0], trace_id="x")
+    assert a == b and a is not b
+    return [FlowInstance(trace=a, start_offset=1),
+            FlowInstance(trace=b, start_offset=4),
+            FlowInstance(trace=a, start_offset=4)]
+
+
+def mixed_length_flows():
+    """Traces of 3, 9, 23 and 41 frames, so a 10- to 30-slot series is
+    longer than some and shorter than others."""
+    lengths = (3, 9, 23, 41)
+    traces = [make_trace([(7 * k + 3 * n) % 97 + n for k in range(n)],
+                         trace_id=f"len{n}") for n in lengths]
+    return [FlowInstance(trace=t, start_offset=s)
+            for t in traces for s in {0, len(t) // 2, len(t) - 1}]
+
+
+@pytest.mark.parametrize("flows", [
+    shared_trace_flows(), equal_trace_flows(), mixed_length_flows(),
+], ids=["shared-trace", "equal-traces", "mixed-lengths"])
+@pytest.mark.parametrize("w, n_slots", [(1, 1), (2, 10), (3, 22), (5, 30), (4, 95)])
+def test_rate_series_at_every_slot_for_shared_and_mixed_traces(flows, w, n_slots):
+    inst, avg = aggregate_rate_series(flows, w, n_slots)
+    assert len(inst) == len(avg) == n_slots - w + 1
+    for end in range(w - 1, n_slots):
+        assert inst[end - w + 1] == instantaneous_aggregate_rate(flows, end)
+        assert avg[end - w + 1] == average_aggregate_rate(
+            flows, MeasurementWindow(end, w))
+
+
 def wrap_gather_series(flows, w, n_slots):
     """The rate series as first written: each flow's bytes gathered at every
     slot by ``take(mode="wrap")``, summed, and one cumsum."""

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 # imported up front so that no hypothesis example pays the one-off import
 # of scipy.special, which an untabulated interval triggers, in its deadline
 import scipy.special  # noqa: F401
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmac.errors import SeriesOverflow, TooShort, VmacError, ZeroMean
@@ -135,6 +136,139 @@ def test_summarize_squares_deviations_with_pow():
     # interval stays bit-identical
     x = 311289.41342597175
     assert summarize([-x, x]).sample_std == math.sqrt(2 * x ** 2)
+
+
+def list_summary(series):
+    """`summarize` as it was written over Python-float lists: `tolist()` of
+    the float64 values for both `math.fsum` passes and Python `max` for the
+    peak.  Kept to pin every result, error and message to it."""
+    n = len(series)
+    if not n:
+        raise TooShort("cannot summarize an empty series")
+    try:
+        values = np.asarray(series, dtype=np.float64)
+        xs = values.tolist()
+        mean = math.fsum(xs) / n
+        if n > 1:
+            with np.errstate(all="ignore", over="raise"):
+                squares = np.float_power(values - mean, 2.0)
+            std = math.sqrt(math.fsum(squares.tolist()) / (n - 1))
+        else:
+            std = 0.0
+    except (OverflowError, FloatingPointError) as exc:
+        raise SeriesOverflow(n) from exc
+    return SeriesSummary(mean=mean, sample_std=std, peak=max(xs), count=n)
+
+
+def list_peak_to_mean(series):
+    """`peak_to_mean` as it was written, iterating the series itself."""
+    if not len(series):
+        raise TooShort("cannot summarize an empty series")
+    try:
+        mean = math.fsum(series) / len(series)
+    except OverflowError as exc:
+        raise SeriesOverflow(len(series)) from exc
+    if mean <= 0:
+        raise ZeroMean(f"peak-to-mean needs a positive mean, got {mean}")
+    return max(series) / mean
+
+
+def outcome_repr(fn, series):
+    """The repr of `fn(series)`, or the type and message of its error."""
+    try:
+        return repr(fn(series))
+    except Exception as exc:  # noqa: BLE001 - every error is part of the pin
+        return type(exc), str(exc)
+
+
+# zeros of both signs, NaN and the infinities, often enough to meet each
+# other in one series in either order, beside edge and ordinary floats
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+PIN_FLOATS = st.one_of(SPECIAL_FLOATS, EDGE_FLOATS, st.floats(),
+                       st.floats(-1e6, 1e6))
+
+
+@st.composite
+def series_forms(draw):
+    """A series of floats or ints in one of the forms the statistics take: a
+    list, a tuple, a float64 array, or a strided or reversed float64 view;
+    NaN may be placed at any position."""
+    if draw(st.booleans()):
+        values = draw(st.lists(PIN_FLOATS, min_size=1, max_size=12))
+        if draw(st.booleans()):
+            values.insert(draw(st.integers(0, len(values))), math.nan)
+    else:
+        values = draw(st.lists(st.integers(-2 ** 1030, 2 ** 1030)
+                               | st.integers(-10 ** 6, 10 ** 6),
+                               min_size=1, max_size=12))
+    form = draw(st.sampled_from(["list", "tuple", "array", "strided", "reversed"]))
+    if form in ("list", "tuple"):
+        return values if form == "list" else tuple(values)
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int past the double range stays a list
+        return values
+    if form == "strided":  # every other value of an array twice as long
+        spread = np.full(2 * len(array), 7.25)
+        spread[::2] = array
+        return spread[::2]
+    return array[::-1].copy()[::-1] if form == "reversed" else array
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_forms())
+def test_summarize_equals_the_list_based_code(series):
+    assert outcome_repr(summarize, series) == outcome_repr(list_summary, series)
+
+
+@pytest.mark.parametrize("series", [
+    [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0, 0.0], [0.0, -0.0, -1.0],
+    [math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, -0.0],
+    [math.inf, 1.0], [-math.inf, -1.0], [math.inf, -math.inf],
+    [-1.0, -2.0], [2.5], [-0.0], [math.nan], [7], [2 ** 1030],
+])
+@pytest.mark.parametrize("form", [list, tuple, np.array])
+def test_summarize_keeps_each_peak_and_error(series, form):
+    try:
+        values = form(series)
+    except OverflowError:  # numpy refuses an int past the double range
+        values = series
+    assert outcome_repr(summarize, values) == outcome_repr(list_summary, values)
+
+
+@pytest.mark.parametrize("series", [
+    np.ones((3, 2)), np.ones((3, 1)), [[1.0, 2.0], [3.0, 4.0]], [[5.0]],
+])
+def test_summarize_refuses_2d_input_with_type_error(series):
+    with pytest.raises(TypeError):
+        summarize(series)
+    assert outcome_repr(summarize, series) == outcome_repr(list_summary, series)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PIN_FLOATS | st.integers(-2 ** 1030, 2 ** 1030),
+                min_size=1, max_size=12).flatmap(
+    lambda values: st.sampled_from([values, tuple(values)])))
+def test_peak_to_mean_equals_the_code_over_the_series(series):
+    assert outcome_repr(peak_to_mean, series) == outcome_repr(list_peak_to_mean, series)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6) | EDGE_FLOATS | SPECIAL_FLOATS,
+                min_size=2, max_size=12),
+       st.sampled_from([0.8, 0.95]))
+def test_mean_and_ci_takes_the_list_based_mean_and_std(values, confidence):
+    try:
+        s = list_summary(values)
+    except Exception as exc:  # noqa: BLE001 - the same error, same message
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            mean_and_ci(values, confidence)
+        return
+    n = len(values)
+    quantile = float(scipy.special.stdtrit(n - 1, (1.0 + confidence) / 2.0))
+    got = mean_and_ci(values, confidence)
+    assert repr((got.mean, got.ci_half_width)) == repr(
+        (s.mean, quantile * s.sample_std / math.sqrt(n)))
 
 
 # -- coefficient of variation -----------------------------------------------------

@@ -121,8 +121,8 @@ def aggregate_rate_series(
     ``window_slots - 1`` to ``n_slots - 1``: what `rate_sample` gives there,
     from one integer cumsum of the summed per-slot bytes; zeros for no flows.
 
-    Each flow's bytes go into one reused row as one wrapped period from its
-    offset, which `fill_periodic` repeats to the row's end; no index vector.
+    Each distinct trace fills one row of ``n_slots`` plus its length once, by
+    `fill_periodic`; each of its flows adds the row's slots from its offset.
     Raises ByteOverflow when the flows' peak frames, summed, do not bound
     the cumsum within int64 and every window's bits within 2**53, where a
     double holds each integer exactly: beyond it the series could differ
@@ -130,21 +130,23 @@ def aggregate_rate_series(
     double."""
     fps = _shared_fps(flows) if flows else 0.0
     agg = np.zeros(n_slots, dtype=np.int64)
-    row = np.empty(n_slots, dtype=np.int64)
     w = window_slots
     peak = sum(f.trace._peak for f in flows)  # bounds every slot's bytes
     if n_slots * peak > INT64_MAX or BITS_PER_BYTE * w * peak > 2 ** 53:
         raise ByteOverflow(
             f"rate series would not be exact: {len(flows)} flows of up to "
             f"{peak} bytes a slot, {n_slots} slots, {w}-slot windows")
+    by_trace = {}  # each trace's sizes and flow offsets, by its identity
     for f in flows:
-        sizes, s = f.trace.sizes, f.start_offset
-        m = min(n_slots, len(sizes))
-        head = min(m, len(sizes) - s)
-        row[:head] = sizes[s:s + head]
-        row[head:m] = sizes[:m - head]
-        fill_periodic(row, m)
-        agg += row
+        by_trace.setdefault(id(f.trace), (f.trace.sizes, []))[1].append(f.start_offset)
+    # one row for every trace: a row past 128 KiB maps fresh pages each time
+    longest = max((len(sizes) for sizes, _ in by_trace.values()), default=0)
+    row = np.empty(n_slots + longest, dtype=np.int64)
+    for sizes, offsets in by_trace.values():
+        row[:len(sizes)] = sizes
+        fill_periodic(row, len(sizes))
+        for s in offsets:
+            agg += row[s:s + n_slots]
     cum = np.concatenate([[0], np.cumsum(agg)])
     try:
         with np.errstate(over="raise"):

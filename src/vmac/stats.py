@@ -12,8 +12,9 @@ pins it on 10^6 seeded doubles).  ``np.square``, ``x * x`` and ``np.power``
 do not qualify.  On 10^6 seeded doubles of both signs and magnitudes 1e-160
 to 1e160 (numpy 2.4.6 with AVX2 loops, glibc, x86-64), each of the three
 rounds 856 squares differently from ``x ** 2``; ``np.power``, whose AVX-512
-loop is SVML's, rounded 27 280 differently on an AVX-512 host.  The sums
-stay `math.fsum` over Python floats.
+loop is SVML's, rounded 27 280 differently on an AVX-512 host.  Both sums
+are `math.fsum` over the float64 buffer, with no list of Python floats; the
+peak is numpy's ``max`` unless a NaN, an inf or a ±0.0 peak needs Python's.
 
 The t quantile comes from ``scipy.special.stdtrit``: at 95 % confidence and
 1 to 60 degrees of freedom it is read from a table of its values, and any
@@ -74,9 +75,9 @@ class MeanWithCI:
     reps: int
 
 
-def summarize(series: Sequence[float]) -> SeriesSummary:
-    """Mean, sample standard deviation, peak and count of a series.  Raises
-    SeriesOverflow when its sum, a deviation from the mean or a squared
+def _mean_and_std(series: Sequence[float]) -> tuple[np.ndarray, float, float]:
+    """A series as float64 values, their mean and sample standard deviation.
+    Raises SeriesOverflow when its sum, a deviation from the mean or a squared
     deviation leaves the double range, which `math.fsum` signals with
     OverflowError and numpy, under ``over="raise"``, with FloatingPointError."""
     n = len(series)
@@ -84,19 +85,26 @@ def summarize(series: Sequence[float]) -> SeriesSummary:
         raise TooShort("cannot summarize an empty series")
     try:
         values = np.asarray(series, dtype=np.float64)
-        xs = values.tolist()
-        mean = math.fsum(xs) / n
+        # a 1-D buffer gives fsum floats without a list; 2-D keeps TypeError
+        mean = math.fsum(values.data if values.ndim == 1 else values.tolist()) / n
+        std = 0.0
         if n > 1:
             # float_power is libm pow(d, 2.0), as d ** 2 is; np.power and
             # np.square round some squares differently (see the module note)
             with np.errstate(all="ignore", over="raise"):
                 squares = np.float_power(values - mean, 2.0)
-            std = math.sqrt(math.fsum(squares.tolist()) / (n - 1))
-        else:
-            std = 0.0
+            std = math.sqrt(math.fsum(squares.data) / (n - 1))
     except (OverflowError, FloatingPointError) as exc:
         raise SeriesOverflow(n) from exc
-    return SeriesSummary(mean=mean, sample_std=std, peak=max(xs), count=n)
+    return values, mean, std
+
+
+def summarize(series: Sequence[float]) -> SeriesSummary:
+    """Mean, sample standard deviation, peak and count of a series."""
+    values, mean, std = _mean_and_std(series)
+    # numpy's max equals Python's on finite values (finite mean) unless ±0.0
+    peak = float(values.max()) if math.isfinite(mean) else 0.0
+    return SeriesSummary(mean, std, peak or max(values.data), len(series))
 
 
 def _over_mean(value: float, mean: float, metric: str) -> float:
@@ -123,6 +131,7 @@ def peak_to_mean(series: Sequence[float]) -> float:
 
     The same mean and peak as `summarize`, without its variance pass, and
     the same SeriesOverflow where the sum leaves the double range."""
+    series = series.tolist() if isinstance(series, np.ndarray) else series
     if not len(series):
         raise TooShort("cannot summarize an empty series")
     try:
@@ -135,8 +144,8 @@ def peak_to_mean(series: Sequence[float]) -> float:
 def coefficient_of_variation(series: Sequence[float]) -> float:
     """Sample standard deviation divided by mean; 0 for constant series."""
     _check_two_values(len(series))
-    s = summarize(series)
-    return _over_mean(s.sample_std, s.mean, "coefficient of variation")
+    _, mean, std = _mean_and_std(series)
+    return _over_mean(std, mean, "coefficient of variation")
 
 
 def peak_to_mean_and_cov(series: Sequence[float]) -> tuple[float, float]:
@@ -159,7 +168,7 @@ def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWi
     if n < 2:
         raise TooShort("confidence interval needs at least 2 repetitions")
     _check_confidence(confidence)
-    s = summarize(rep_values)
+    _, mean, std = _mean_and_std(rep_values)
     quantile = _T_QUANTILE_95.get(n - 1) if confidence == 0.95 else None
     if quantile is None:
         try:
@@ -169,7 +178,4 @@ def mean_and_ci(rep_values: Sequence[float], confidence: float = 0.95) -> MeanWi
                               f"repetitions needs scipy (pip install scipy): "
                               f"{exc}") from exc
         quantile = float(stdtrit(n - 1, (1.0 + confidence) / 2.0))
-    half_width = quantile * s.sample_std / math.sqrt(n)
-    return MeanWithCI(
-        mean=s.mean, ci_half_width=half_width, confidence=confidence, reps=n
-    )
+    return MeanWithCI(mean, quantile * std / math.sqrt(n), confidence, n)

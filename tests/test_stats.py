@@ -173,6 +173,16 @@ def list_peak_to_mean(series):
     return max(series) / mean
 
 
+def list_cov(series):
+    """`coefficient_of_variation` as it was written, from `list_summary`."""
+    if len(series) < 2:
+        raise TooShort("coefficient of variation needs at least 2 values")
+    s = list_summary(series)
+    if s.mean <= 0:
+        raise ZeroMean(f"coefficient of variation needs a positive mean, got {s.mean}")
+    return s.sample_std / s.mean
+
+
 def outcome_repr(fn, series):
     """The repr of `fn(series)`, or the type and message of its error."""
     try:
@@ -219,6 +229,19 @@ def series_forms(draw):
 @given(series_forms())
 def test_summarize_equals_the_list_based_code(series):
     assert outcome_repr(summarize, series) == outcome_repr(list_summary, series)
+    assert (outcome_repr(coefficient_of_variation, series)
+            == outcome_repr(list_cov, series))
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_forms().filter(lambda series: isinstance(series, np.ndarray)))
+def test_peak_to_mean_of_an_array_is_that_of_its_list(series):
+    # an array is read as Python floats: the result is a float, not a
+    # numpy scalar, and equals the result for the list of its values
+    assert (outcome_repr(peak_to_mean, series)
+            == outcome_repr(list_peak_to_mean, series.tolist()))
+    if not isinstance(outcome_repr(peak_to_mean, series), tuple):
+        assert type(peak_to_mean(series)) is float
 
 
 @pytest.mark.parametrize("series", [

@@ -121,8 +121,8 @@ def aggregate_rate_series(
     ``window_slots - 1`` to ``n_slots - 1``: what `rate_sample` gives there,
     from one integer cumsum of the summed per-slot bytes; zeros for no flows.
 
-    Each distinct trace fills one row of ``n_slots`` plus its length once, by
-    `fill_periodic`; each of its flows adds the row's slots from its offset.
+    Each distinct trace fills once, by `fill_periodic`, a row as long as the
+    series plus the longest trace; each flow adds the slots from its offset.
     Raises ByteOverflow when the flows' peak frames, summed, do not bound
     the cumsum within int64 and every window's bits within 2**53, where a
     double holds each integer exactly: beyond it the series could differ

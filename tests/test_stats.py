@@ -48,13 +48,14 @@ def test_pmr_zero_mean_rejected():
         peak_to_mean([])
 
 
-@given(st.lists(st.floats(0.0, 1e6), min_size=1).filter(lambda s: sum(s) > 0))
+# the filters keep series whose mean is positive: [0.0, 5e-324] sums above
+# 0, but its mean rounds to 0.0, for which both calls raise ZeroMean
+@given(st.lists(st.floats(0.0, 1e6), min_size=1)
+       .filter(lambda s: math.fsum(s) / len(s) > 0))
 def test_pmr_at_least_one(series):
     assert peak_to_mean(series) >= 1.0 - 1e-12
 
 
-# the filter keeps series whose mean is positive: [0.0, 5e-324] sums above
-# 0, but its mean rounds to 0.0, for which both calls raise ZeroMean
 @given(st.lists(st.floats(0.0, 1e9), min_size=1)
        .filter(lambda s: math.fsum(s) / len(s) > 0))
 def test_pmr_is_peak_over_mean_of_summary(series):

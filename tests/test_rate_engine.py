@@ -1,5 +1,8 @@
 """Instantaneous and windowed-average aggregate rate computation."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,3 +241,103 @@ def test_rates_beyond_the_double_range(sizes, fps, end, w, overflows):
     else:
         sample = rate_sample(flows, window)
         assert (sample.instantaneous, sample.average) == (rates["inst"](), rates["avg"]())
+
+
+def assert_sample_is_reference(flows, window):
+    """`rate_sample` equals the two reference rates bit for bit."""
+    sample = rate_sample(flows, window)
+    assert sample.instantaneous == instantaneous_aggregate_rate(flows, window.end_slot)
+    assert sample.average == average_aggregate_rate(flows, window)
+    assert sample.window is window
+    return sample
+
+
+@pytest.mark.parametrize("w", [1, 3, 7])
+def test_rate_sample_is_exact_when_the_last_slot_sum_passes_2_64(w):
+    # a one-frame trace of 2**62 - 1 bytes is the largest a VideoTrace
+    # holds; eight flows of it put the last slot's byte sum past 2**64
+    trace = make_trace([2 ** 62 - 1], trace_id="huge")
+    flows = [FlowInstance(trace=trace, start_offset=0) for _ in range(8)]
+    for end in (w - 1, w, w + 4):
+        window = MeasurementWindow(end, w)
+        assert_sample_is_reference(flows, window)
+        assert sum(f.trace.size_at(f.start_offset + end) for f in flows) > 2 ** 64
+
+
+def test_rate_sample_of_one_trace_across_window_lengths():
+    # one trace sampled at one window length, then another, then the first
+    # again, then a window longer than the trace
+    trace = make_trace([5, 0, 9, 12, 3, 2 ** 40], trace_id="six")
+    flows = [FlowInstance(trace=trace, start_offset=o) for o in (0, 2, 5, 2)]
+    for w in (5, 7, 5, 2 * len(trace) + 3):
+        for end in range(w - 1, w + 2 * len(trace)):
+            assert_sample_is_reference(flows, MeasurementWindow(end, w))
+
+
+def test_rate_sample_of_flows_alternating_trace_lengths():
+    short = make_trace([7, 1, 2 ** 33], trace_id="short")
+    long = make_trace([4, 0, 11, 2 ** 35, 6], trace_id="long")
+    flows = [FlowInstance(trace=t, start_offset=o)
+             for o in range(3) for t in (short, long)]
+    for w in (1, 2, 3, 4, 5, 7, 15, 4):
+        for end in range(w - 1, w + 16):
+            assert_sample_is_reference(flows, MeasurementWindow(end, w))
+
+
+@pytest.mark.parametrize("odd_at", [0, 2, 4])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_rate_sample_mixed_fps_message_wherever_the_odd_flow_is(odd_at, sampled):
+    # the same MixedFps as the reference rates give, whether or not the
+    # traces were sampled before
+    traces = [make_trace([3, 8, 1, 5], fps=30.0, trace_id=f"a{i}") for i in range(2)]
+    odd = make_trace([3, 8, 1], fps=25.0, trace_id="odd")
+    flows = [FlowInstance(trace=traces[i % 2], start_offset=i % 4) for i in range(4)]
+    flows.insert(odd_at, FlowInstance(trace=odd, start_offset=1))
+    window = MeasurementWindow(6, 5)
+    if sampled:
+        for group in ([f for f in flows if f.trace is not odd], [flows[odd_at]]):
+            assert_sample_is_reference(group, window)
+    messages = []
+    for call in (lambda: rate_sample(flows, window),
+                 lambda: instantaneous_aggregate_rate(flows, window.end_slot),
+                 lambda: average_aggregate_rate(flows, window)):
+        with pytest.raises(MixedFps) as caught:
+            call()
+        messages.append(str(caught.value))
+    assert messages == [messages[0]] * 3
+    assert "25.0" in messages[0] and "30.0" in messages[0]
+
+
+def test_threads_sampling_one_fresh_trace_at_two_windows_agree():
+    # two threads, switching often, race to sample one fresh trace at
+    # window lengths 5 and 25; each sample equals the reference rates
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            trace = make_trace([(seed * 7919 + 31 * k * k) % 100_003 for k in range(3000)],
+                               trace_id=f"race-{seed}")
+            flows = [FlowInstance(trace=trace, start_offset=o) for o in (0, 17, 2990)]
+            start = threading.Barrier(2)
+            results = {}
+
+            def sample(w):
+                start.wait(timeout=10)
+                results[w] = [rate_sample(flows, MeasurementWindow(end, w))
+                              for end in range(w - 1, w + 39)]
+
+            threads = [threading.Thread(target=sample, args=(w,)) for w in (5, 25)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            for w, samples in results.items():
+                assert samples == [(
+                    instantaneous_aggregate_rate(flows, end),
+                    average_aggregate_rate(flows, MeasurementWindow(end, w)),
+                    MeasurementWindow(end, w),
+                ) for end in range(w - 1, w + 39)]
+            assert sorted(results) == [5, 25]
+    finally:
+        sys.setswitchinterval(interval)

@@ -29,6 +29,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, lshift
 from pathlib import Path
 from typing import Optional
 
@@ -40,6 +42,9 @@ from .errors import (BoundsTooTight, ByteOverflow, EmptyTrace, MalformedLine,
 BITS_PER_BYTE = 8
 MBPS = 1_000_000.0
 INT64_MAX = 2 ** 63 - 1
+# a window table entry is window bytes << K plus last-slot bytes: a frame is
+# below 2**62, so the last-slot bytes of under 2**34 flows sum below 2**K
+K = 96
 
 
 _TYPE_CHARS = "IPB?"
@@ -66,13 +71,13 @@ class VideoTrace:
     `__post_init__` also sets three attributes that are not dataclass
     fields, so `fields`, `asdict` and `astuple` never see them: `_cum2`, the
     doubled prefix sum of `sizes` for O(1) wrapped window sums, as the
-    read-only int64 array the Monte Carlo gap table reads; `_cum2_ints`,
-    None until `cum2_ints` builds the same sums as a tuple of Python ints,
-    which `rate_sample` reads without allocating an int; and `_peak`, the
-    largest frame size as a Python int, from which every int64 byte sum
-    over the trace is bounded.  None of them is part of equality, hash,
-    repr or pickle, so a trace that has the tuple behaves as one that has
-    not.
+    read-only int64 array the Monte Carlo gap table reads; `_window`, the
+    window table `(w, packed, n, fps)` that `window_table` builds for the
+    last window length sampled, from which `rate_sample` reads one int per
+    flow (w is 0 until the first sample); and `_peak`, the largest frame
+    size as a Python int, from which every int64 byte sum over the trace is
+    bounded.  None of them is part of equality, hash, repr or pickle, so a
+    trace that has a table behaves as one that has not.
     """
 
     id: str
@@ -127,7 +132,8 @@ class VideoTrace:
             column.flags.writeable = False
         for name, value in (
             ("sizes", sizes), ("indices", indices), ("_cum2", cum2),
-            ("_cum2_ints", None), ("_peak", peak), ("frame_types", frame_types),
+            ("_window", (0, (), n, self.fps)), ("_peak", peak),
+            ("frame_types", frame_types),
         ):
             object.__setattr__(self, name, value)
 
@@ -153,15 +159,23 @@ class VideoTrace:
             self.sizes.tobytes(), self.indices.tobytes(),
         ))
 
-    def cum2_ints(self) -> tuple[int, ...]:
-        """The doubled prefix sum as a tuple of Python ints, built from
-        `_cum2` on the first call and kept (about 72 bytes per frame).
-        Threads that race to build it build equal tuples."""
-        ints = self._cum2_ints
-        if ints is None:
-            ints = tuple(self._cum2.tolist())
-            object.__setattr__(self, "_cum2_ints", ints)
-        return ints
+    def window_table(self, w: int) -> tuple:
+        """`(w, packed, n, fps)`: for each start slot s in [0, n), the bytes
+        of the w slots from s, whole periods included, shifted left by `K`,
+        plus the bytes of the last of them, as one Python int.  Built on the
+        first call with a new `w` (about 0.5 ms and 48 bytes a frame for
+        3 000 frames) and kept until a call with another `w` replaces it:
+        one table per trace.  A racing thread gets the table for its own w."""
+        table = self._window
+        if table[0] != w:
+            n, c = len(self.sizes), self._cum2
+            whole, rem = divmod(w, n)
+            j = (w - 1) % n  # the last slot's offset from the window start
+            win = map(add, (c[rem:rem + n] - c[:n]).tolist(), repeat(whole * int(c[n])))
+            last = self.sizes[j:].tolist() + self.sizes[:j].tolist()
+            table = (w, tuple(map(add, map(lshift, win, repeat(K)), last)), n, self.fps)
+            object.__setattr__(self, "_window", table)
+        return table
 
     def __len__(self) -> int:
         return len(self.sizes)

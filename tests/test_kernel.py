@@ -302,6 +302,23 @@ def test_rate_series_of_no_flows_is_zero():
     assert not inst.any() and not avg.any()
 
 
+@pytest.mark.parametrize("w, n_slots", [(-1, 6), (0, 6), (2, -2), (0, -2)])
+def test_rate_series_refuses_a_bad_window_or_slot_count(w, n_slots):
+    # refused before numpy could broadcast, allocate or return a negative
+    # average
+    flows = [FlowInstance(trace=make_trace([1, 2, 3, 4]), start_offset=0)]
+    for flow_set in (flows, []):
+        with pytest.raises(ValueError, match=f"need window_slots >= 1 and n_slots >= 0, "
+                                             f"got {w} and {n_slots}"):
+            aggregate_rate_series(flow_set, w, n_slots)
+
+
+def test_rate_series_of_no_slots_is_empty():
+    flows = [FlowInstance(trace=make_trace([1, 2, 3, 4]), start_offset=0)]
+    inst, avg = aggregate_rate_series(flows, 1, 0)
+    assert (len(inst), len(avg)) == (0, 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(library=libraries, n=st.integers(0, 6), runs=st.integers(1, 12),
        seed=st.integers(0, 2 ** 32))

@@ -35,6 +35,7 @@ from vmac.rate_engine import (
 from vmac.trace_model import (
     BITS_PER_BYTE,
     MBPS,
+    K,
     ContentClass,
     FlowInstance,
     FlowRateBounds,
@@ -429,8 +430,8 @@ def test_pickle_and_deepcopy_round_trip():
 
 
 def sampled_and_fresh_trace():
-    """A trace that `rate_sample` has read, so it holds its prefix-sum tuple,
-    and a fresh equal trace that does not."""
+    """A trace that `rate_sample` has read at a 7-slot window, so it holds
+    its window table for w = 7, and a fresh equal trace that does not."""
     columns = dict(
         id="t", sizes=[7, 0, 9, 300, 2 ** 40], fps=25.0,
         content_class=ContentClass.NEWS, frame_types="IB?PI",
@@ -441,17 +442,36 @@ def sampled_and_fresh_trace():
     return read, VideoTrace(**columns)
 
 
-def test_prefix_sum_tuple_equals_cum2():
+def direct_window_table(trace, w):
+    """The window table for `w` computed directly from `sizes`, without the
+    prefix sum: for each start slot, the window's bytes shifted left by K
+    plus its last slot's bytes."""
+    sizes = trace.sizes.tolist()
+    n = len(sizes)
+    packed = tuple((trace.window_bytes(s, w) << K) + sizes[(s + w - 1) % n]
+                   for s in range(n))
+    return (w, packed, n, trace.fps)
+
+
+NO_TABLE = (0, (), 5, 25.0)  # `_window` of a 5-frame, 25 fps trace never sampled
+
+
+def test_window_table_equals_direct_sums():
     read, fresh = sampled_and_fresh_trace()
-    assert fresh._cum2_ints is None
-    ints = read._cum2_ints
-    assert type(ints) is tuple and all(type(x) is int for x in ints)
-    assert ints == tuple(read._cum2.tolist()) == tuple(fresh._cum2.tolist())
+    assert fresh._window == NO_TABLE
+    table = read._window
+    assert table == direct_window_table(fresh, 7)
+    assert all(type(x) is int for x in table[1])
     # built once, then kept
-    assert read.cum2_ints() is ints
+    assert read.window_table(7) is table
+    # another window length replaces it whole; windows longer than the
+    # trace count its whole periods
+    for w in (1, 3, 5, 6, 12, 7, 1):
+        assert read.window_table(w) == direct_window_table(fresh, w)
+        assert read._window is read.window_table(w)
 
 
-def test_prefix_sum_tuple_is_invisible():
+def test_window_table_is_invisible():
     read, fresh = sampled_and_fresh_trace()
     assert read == fresh and not read != fresh and fresh == read
     assert hash(read) == hash(fresh) and repr(read) == repr(fresh)
@@ -462,7 +482,7 @@ def test_prefix_sum_tuple_is_invisible():
         assert repr(clone) == repr(fresh)
         assert pickle.dumps(clone) == pickle.dumps(fresh)
         # a copy is rebuilt from the columns, as a fresh trace's copy is
-        assert clone._cum2_ints is None and copy.copy(fresh)._cum2_ints is None
+        assert clone._window == copy.copy(fresh)._window == NO_TABLE
 
 
 def test_prefix_sums_are_not_dataclass_fields():
@@ -476,15 +496,16 @@ def test_prefix_sums_are_not_dataclass_fields():
             "t", 25.0, "IB?PI")
         assert np.array_equal(as_dict["sizes"], trace.sizes)
         assert np.array_equal(as_dict["indices"], trace.indices)
-    # both prefix-sum forms are plain instance attributes
-    assert vars(fresh)["_cum2_ints"] is None
-    assert vars(read)["_cum2_ints"] is read.cum2_ints()
+    # the prefix sum and the window table are plain instance attributes
+    assert vars(fresh)["_window"] == NO_TABLE
+    assert vars(read)["_window"] is read.window_table(7)
     assert vars(read)["_cum2"] is read._cum2
 
 
 def test_threads_sampling_one_fresh_trace_agree():
     # more threads than cores, switching often, race to build one trace's
-    # tuple; a racing build builds an equal tuple, so every sample agrees
+    # window table; a racing build builds an equal table, so every sample
+    # agrees
     window = MeasurementWindow(40, 25)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -513,7 +534,7 @@ def test_threads_sampling_one_fresh_trace_agree():
                 average_aggregate_rate(flows, window),
                 window,
             )] * 4
-            assert trace._cum2_ints == tuple(trace._cum2.tolist())
+            assert trace._window == direct_window_table(trace, 25)
     finally:
         sys.setswitchinterval(interval)
 

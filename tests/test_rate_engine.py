@@ -249,7 +249,6 @@ def assert_sample_is_reference(flows, window):
     assert sample.instantaneous == instantaneous_aggregate_rate(flows, window.end_slot)
     assert sample.average == average_aggregate_rate(flows, window)
     assert sample.window is window
-    return sample
 
 
 @pytest.mark.parametrize("w", [1, 3, 7])
@@ -332,12 +331,12 @@ def test_threads_sampling_one_fresh_trace_at_two_windows_agree():
             for thread in threads:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
+            assert sorted(results) == [5, 25]
             for w, samples in results.items():
                 assert samples == [(
                     instantaneous_aggregate_rate(flows, end),
                     average_aggregate_rate(flows, MeasurementWindow(end, w)),
                     MeasurementWindow(end, w),
                 ) for end in range(w - 1, w + 39)]
-            assert sorted(results) == [5, 25]
     finally:
         sys.setswitchinterval(interval)

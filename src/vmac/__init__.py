@@ -17,7 +17,6 @@ from .experiments import (
     SweepResult,
     TimeSeriesResult,
     derive_run_seed,
-    draw_scenarios,
     run_burstiness_table,
     run_content_comparison,
     run_probability_sweep,

@@ -6,6 +6,9 @@ n*epsilon is at most
 
     delta = exp(-2 n^2 epsilon^2 / sum_i (max_i - min_i)^2)
 
+The exponent is computed as written wherever epsilon's square and every
+nonzero width's square are normal doubles and the result is finite;
+elsewhere epsilon and the widths are first scaled by a power of two.
 `empirical_exceedance` measures that probability on simulated flows so the
 bound can be checked end to end.
 """
@@ -13,6 +16,7 @@ bound can be checked end to end.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +29,8 @@ from .trace_model import FlowInstance, FlowRateBounds
 # exp() underflows to 0 below this exponent; we clamp instead so delta
 # stays strictly positive
 _MIN_EXPONENT = math.log(math.ulp(0.0)) + 1.0
+# a square below the smallest normal double has lost precision
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -54,28 +60,37 @@ class BoundResult:
 def hoeffding_delta(query: HoeffdingQuery) -> BoundResult:
     """Evaluate the exceedance bound for a query.
 
+    The exponent is the formula as written, unless epsilon's square or a
+    nonzero width's square is below the smallest normal double (rounded
+    coarsely, or to 0) or above the largest, every square is 0, or the
+    exponent comes out infinite or NaN; then it is `_scaled_exponent`.
+
     Raises DegenerateRanges when every range has zero width (the exponent's
     denominator vanishes).
     """
     try:
-        exponent = (-2.0 * query.n ** 2 * query.epsilon ** 2
-                    / sum(r.width ** 2 for r in query.ranges))
+        eps2 = query.epsilon ** 2
+        squares = [r.width ** 2 for r in query.ranges]
+        exponent = -2.0 * query.n ** 2 * eps2 / sum(squares)
     except (OverflowError, ZeroDivisionError):
         # a square left the double range, or every square is 0
         exponent = _scaled_exponent(query)
+    else:
+        if not (math.isfinite(exponent) and eps2 >= _MIN_NORMAL and all(
+                sq >= _MIN_NORMAL for r, sq in zip(query.ranges, squares) if r.width)):
+            exponent = _scaled_exponent(query)
     if exponent < _MIN_EXPONENT:
         return BoundResult(delta=math.ulp(0.0), exponent=exponent, underflow=True)
     return BoundResult(delta=math.exp(exponent), exponent=exponent)
 
 
 def _scaled_exponent(query: HoeffdingQuery) -> float:
-    """The exponent of a query where a square overflows, or where the sum of
-    the squared widths is 0: epsilon and the widths are scaled by the power
-    of two that brings the widest range into [0.5, 1), which leaves their
-    ratio as it is.  The scaling is only a fallback because a scaled
-    ``x ** 2`` can round differently from the scaled square of `x`.  An
-    infinite width gives -0.0, and an epsilon whose scaled square still
-    overflows gives -inf."""
+    """The exponent of a query whose unscaled formula would not be exact to
+    rounding: epsilon and the widths are scaled by the power of two that
+    brings the widest range into [0.5, 1), which leaves their ratio as it
+    is.  The scaling is only a fallback because a scaled ``x ** 2`` can
+    round differently from the scaled square of `x`.  An infinite width
+    gives -0.0, and an exponent beyond the double range gives -inf."""
     widest = max(r.width for r in query.ranges)
     if widest == 0.0:
         raise DegenerateRanges(
@@ -86,7 +101,9 @@ def _scaled_exponent(query: HoeffdingQuery) -> float:
     shift = -math.frexp(widest)[1]
     denom = sum(math.ldexp(r.width, shift) ** 2 for r in query.ranges)
     try:
-        return -2.0 * query.n ** 2 * math.ldexp(query.epsilon, shift) ** 2 / denom
+        # divided first: denom < n, so -2 n^2 times the scaled square could
+        # overflow where the exponent does not
+        return -2.0 * query.n ** 2 * (math.ldexp(query.epsilon, shift) ** 2 / denom)
     except OverflowError:
         return -math.inf
 

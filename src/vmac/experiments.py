@@ -3,9 +3,9 @@
 Every experiment derives its randomness from a single master seed through
 `derive_run_seed`, so results are bit-identical across re-runs; runs are
 serial and the `workers` setting has no effect.  Flow sets are composed by
-`draw_scenarios`: each flow independently picks a trace uniformly from the
-library and a start offset uniformly within it; the decision instant is
-then drawn uniformly over one full period of valid window end slots.
+`_draw`: each flow independently picks a trace uniformly from the library
+and a start offset uniformly within it; the decision instant is then drawn
+uniformly over one full period of valid window end slots.
 
 The probability of interest per run is whether the windowed average
 aggregate rate is strictly below the instantaneous aggregate rate at the
@@ -145,31 +145,21 @@ def _draw(rng, n, runs, lengths, lmax):
     return tr, offs.astype(np.int64), first
 
 
-def draw_scenarios(rng, library, n, w, runs):
-    """Trace indices and start offsets, both (runs, n), and the end slot of
-    each run's `w`-slot window, (runs,), from one ``rng.random((runs, 2n+1))``
-    block; each row is consumed as one run: n trace picks, n offsets, then
-    the end slot over one period of the longest trace."""
-    lengths = np.array([len(t) for t in library], dtype=np.float64)
-    tr, offs, first = _draw(rng, n, runs, lengths, max(len(t) for t in library))
-    first += w - 1
-    return tr, offs, first
-
-
 def draw_flow_set(
     cfg: ExperimentConfig, n: int, seed: int
 ) -> tuple[list[FlowInstance], int]:
-    """One seeded flow set, drawn as one Monte Carlo run of `draw_scenarios`
-    over `cfg`'s library and window: its `n` flows and the end slot of its
-    decision window."""
+    """One seeded flow set, drawn as one Monte Carlo run of `_draw` over
+    `cfg`'s library: its `n` flows and the end slot of its decision window,
+    the window's first slot plus ``window_slots - 1``."""
     library = cfg.trace_library
     rng = np.random.Generator(np.random.PCG64(seed))
-    tr, offs, ends = draw_scenarios(rng, library, n, cfg.window_slots, 1)
+    lengths = np.array([len(t) for t in library], dtype=np.float64)
+    tr, offs, first = _draw(rng, n, 1, lengths, max(len(t) for t in library))
     flows = [
         FlowInstance(trace=library[t], start_offset=int(o), flow_id=i)
         for i, (t, o) in enumerate(zip(tr[0], offs[0]))
     ]
-    return flows, int(ends[0])
+    return flows, int(first[0]) + cfg.window_slots - 1
 
 
 @dataclass(frozen=True)

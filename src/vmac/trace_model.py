@@ -58,14 +58,33 @@ class ContentClass(enum.Enum):
     UNKNOWN = "unknown"
 
 
+def _int64_column(values, trace_id, name) -> np.ndarray:
+    """`values` as a new int64 array, converted once.  Raises ValueError
+    naming the trace unless every value is an integer (a bool is not), and
+    OverflowError for one beyond int64."""
+    column = np.asarray(values)
+    if column.size and column.dtype.kind == "u" and column.max() > INT64_MAX:
+        raise OverflowError(name)
+    if column.size and column.dtype.kind not in "iu":
+        # numpy holds Python ints beyond int64 as float64 or as objects
+        column = np.asarray(values, dtype=object)
+        for v in column.flat:
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise ValueError(f"trace {trace_id}: {name} must be integers, "
+                                 f"got {type(v).__name__} {v!r}")
+    return column.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class VideoTrace:
     """Immutable parsed trace, held as columns; shareable across threads.
 
-    `sizes` (bytes per frame) and `indices` are read-only int64 arrays and
-    `frame_types` holds one character of "IPB?" per frame.  Without
-    `indices` the frames are numbered 0, 1, 2, ...; without `frame_types`
-    every type is unknown ("?").  Equality and hashing are by value; a copy
+    `sizes` (bytes per frame) and `indices` are read-only int64 arrays,
+    copied from integers of any type: a float, bool or string among them
+    raises ValueError, rather than being truncated.  `frame_types` holds
+    one character of "IPB?" per frame.  Without `indices` the frames are
+    numbered 0, 1, 2, ...; without `frame_types` every type is unknown
+    ("?").  Equality and hashing are by value; a copy
     or an unpickled trace is rebuilt from the columns.
 
     `__post_init__` also sets three attributes that are not dataclass
@@ -89,7 +108,7 @@ class VideoTrace:
 
     def __post_init__(self):
         try:
-            sizes = np.array(self.sizes, dtype=np.int64)
+            sizes = _int64_column(self.sizes, self.id, "frame sizes")
         except OverflowError:
             raise ByteOverflow(f"trace {self.id}: a frame size exceeds int64") from None
         if sizes.ndim != 1:
@@ -108,7 +127,7 @@ class VideoTrace:
             indices = np.arange(n, dtype=np.int64)
         else:
             try:
-                indices = np.array(self.indices, dtype=np.int64)
+                indices = _int64_column(self.indices, self.id, "frame indices")
             except OverflowError:
                 raise ValueError(
                     f"trace {self.id}: a frame index exceeds int64"
@@ -335,10 +354,11 @@ def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
 
 
 def serialize_trace(trace: VideoTrace, path) -> None:
-    """Write a trace in the file format understood by parse_trace_file."""
+    """Write a trace in the file format understood by parse_trace_file; the
+    fps is written as the shortest text that parses back to it."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# fps={trace.fps:g}\n")
+        fh.write(f"# fps={repr(float(trace.fps)).removesuffix('.0')}\n")
         if trace.content_class is not ContentClass.UNKNOWN:
             fh.write(f"# class={trace.content_class.value}\n")
         fh.writelines(

@@ -1,10 +1,12 @@
 """Concentration bound evaluation and its empirical verification."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vmac.bounds import (
@@ -73,6 +75,49 @@ def test_underflow_keeps_delta_positive():
     result = hoeffding_delta(uniform_query(1000, 100.0, 0.001))
     assert result.underflow
     assert 0.0 < result.delta <= 1.0
+
+
+@st.composite
+def scaled_queries(draw):
+    """Epsilon and 1 to 8 widths, some of them 0, each within 2^60 of a
+    common scale from 2^-600 to 2^600: their squares are subnormal, normal
+    or beyond the double range, while their ratio stays moderate."""
+    scale = draw(st.integers(-600, 600))
+    near = st.builds(lambda m, e: math.ldexp(m, scale + e),
+                     st.floats(0.5, 1.0, exclude_max=True), st.integers(-60, 60))
+    widths = draw(st.lists(st.one_of(st.just(0.0), near), min_size=1, max_size=8))
+    return draw(near), widths
+
+
+@settings(max_examples=400, deadline=None)
+@given(query=scaled_queries())
+# the CLI's three cases in bits/s: subnormal squares, a subnormal epsilon
+# square, and a product that overflows without raising
+@example(query=(1e-160, [1e-161]))
+@example(query=(3e-159, [1e-159]))
+@example(query=(1e154, [1e150, 1e150]))
+# -2 n^2 eps^2 overflows in the scaled path too, while the exponent is finite
+@example(query=(1e152, [1.0] * 1000))
+def test_exponent_is_the_formula_where_squares_are_normal(query):
+    eps, widths = query
+    assume(any(widths))
+    n = len(widths)
+    ranges = tuple(FlowRateBounds(0.0, w) for w in widths)
+    got = hoeffding_delta(HoeffdingQuery(n=n, epsilon=eps, ranges=ranges)).exponent
+    try:
+        squares = [x ** 2 for x in (eps, *widths) if x]
+        formula = -2.0 * n ** 2 * eps ** 2 / sum(w ** 2 for w in widths)
+    except (OverflowError, ZeroDivisionError):
+        formula = math.nan
+    if math.isfinite(formula) and min(squares) >= sys.float_info.min:
+        # bit for bit, signed zero included
+        assert got.hex() == formula.hex()
+    else:
+        # elsewhere the scaled path is exact to rounding, wherever the exact
+        # exponent is a double well away from 0 and from the largest double
+        exact = -2 * n ** 2 * Fraction(eps) ** 2 / sum(Fraction(w) ** 2 for w in widths)
+        if 1e-200 <= -exact < 1e308:
+            assert math.isclose(got, float(exact), rel_tol=1e-12)
 
 
 # -- monotonicity properties ---------------------------------------------------

@@ -586,16 +586,23 @@ def test_hoeffding_infinite_width(capsys):
         ("2", "1e150", "1e150,1e150", EXIT_OK, "delta=0.018316 exponent=-4.000000\n"),
         ("1", "1e200", "inf", EXIT_OK, "delta=1.000000 exponent=-0.000000\n"),
         ("1", "1e-200", "1e-200", EXIT_OK, "delta=0.135335 exponent=-2.000000\n"),
+        ("1", "1e-166", "1e-167", EXIT_OK, "delta=0.000000 exponent=-200.000000\n"),
+        ("1", "3e-165", "1e-165", EXIT_OK, "delta=0.000000 exponent=-18.000000\n"),
+        ("2", "1e148", "1e144,1e144", EXIT_OK,
+         "delta=0.000000 exponent=-400000000.000000 underflow=true\n"),
         ("1", "inf", "inf", EXIT_USAGE, ""),
         ("1", "inf", "1", EXIT_USAGE, ""),
     ],
     ids=["epsilon-squared-overflows", "both-squares-overflow", "two-flows",
-         "infinite-width", "squares-underflow", "infinite-both", "infinite-epsilon"],
+         "infinite-width", "squares-underflow", "squares-subnormal",
+         "epsilon-square-subnormal", "product-overflows", "infinite-both",
+         "infinite-epsilon"],
 )
 def test_hoeffding_squares_beyond_the_double_range(capsys, n, epsilon, widths,
                                                    status, out):
-    # a square that leaves the double range gets its bound, and an infinite
-    # epsilon is refused, as a NaN one is
+    # a square that is subnormal or leaves the double range, or a product
+    # that overflows, gets its bound, and an infinite epsilon is refused, as
+    # a NaN one is
     argv = ["hoeffding", "--n", n, "--epsilon", epsilon, "--widths", widths]
     assert main(argv) == status
     captured = capsys.readouterr()

@@ -14,10 +14,10 @@ from vmac.bounds import empirical_exceedance
 from vmac.errors import ByteOverflow
 from vmac.experiments import (
     ExperimentConfig,
+    _draw,
     _gap_sums,
     _gap_table,
     _rep_probability,
-    draw_scenarios,
     run_burstiness_table,
     run_content_comparison,
     run_probability_sweep,
@@ -55,10 +55,10 @@ def scenario_flows(library, tr_row, offs_row):
     ]
 
 
-def run_gaps(library, w, tr, offs, ends):
-    """Each run's gap sum, gathered from the gap table as the kernel does."""
-    table = _gap_table(library, w, tr.shape[1])
-    start = (offs + (ends - (w - 1))[:, None]) % table.lengths.astype(np.int64)[tr]
+def run_gaps(table, tr, offs, first):
+    """Each run's gap sum, gathered from the gap table `table` at each flow's
+    window start modulo its trace length."""
+    start = (offs + first[:, None]) % table.lengths.astype(np.int64)[tr]
     return table.gaps[tr, start].sum(axis=1)
 
 
@@ -112,11 +112,12 @@ def test_gap_table_of_cbr_is_zero(cbr_library):
 def test_batched_runs_match_per_quantity_rates(library, n, w_frac, runs, seed):
     shortest = min(len(t) for t in library)
     w = 1 + int(w_frac * (shortest - 1))
-    tr, offs, ends = draw_scenarios(rng(seed), library, n, w, runs)
-    gap = run_gaps(library, w, tr, offs, ends)
+    table = _gap_table(library, w, n)
+    tr, offs, first = _draw(rng(seed), n, runs, table.lengths, table.lmax)
+    gap = run_gaps(table, tr, offs, first)
     for r in range(runs):
         flows = scenario_flows(library, tr[r], offs[r])
-        end = int(ends[r])
+        end = int(first[r]) + w - 1
         instantaneous = instantaneous_aggregate_rate(flows, end)
         average = average_aggregate_rate(flows, MeasurementWindow(end, w))
         # the kernel forms no window or instant sum, only their gap
@@ -124,8 +125,6 @@ def test_batched_runs_match_per_quantity_rates(library, n, w_frac, runs, seed):
         assert (gap[r] < 0) == (average < instantaneous)
     # the kernel's flat take gives the same sums, draws the same runs and
     # counts the same verdicts
-    table = _gap_table(library, w, n)
-    first = ends - (w - 1)
     assert np.array_equal(_gap_sums(table.gaps, tr, offs, first), gap)
     assert _rep_probability(table, n, runs, seed) == (
         np.count_nonzero(gap < 0) / runs)
@@ -142,17 +141,16 @@ def test_flat_take_matches_modulo_at_every_start(short, w):
     cases = [(t, o, e) for t, trace in enumerate(library)
              for o in range(len(trace)) for e in range(longest)]
     tr, offs, e = (np.array(col, dtype=np.int64)[:, None] for col in zip(*cases))
-    ends = e[:, 0] + w - 1
-    gaps = _gap_table(library, w, 1).gaps
-    expected = run_gaps(library, w, tr, offs, ends)
-    assert np.array_equal(_gap_sums(gaps, tr, offs, e[:, 0]), expected)
-    assert int(offs.max() + e.max()) == gaps.shape[1] - 1
+    table = _gap_table(library, w, 1)
+    expected = run_gaps(table, tr, offs, e[:, 0])
+    assert np.array_equal(_gap_sums(table.gaps, tr, offs, e[:, 0]), expected)
+    assert int(offs.max() + e.max()) == table.gaps.shape[1] - 1
     if w > 1:
         assert expected.any()
 
 
 class StubRng:
-    """Hands `draw_scenarios` a chosen block in place of uniform draws."""
+    """Hands `_draw` a chosen block in place of uniform draws."""
 
     def __init__(self, block):
         self.block = np.asarray(block, dtype=np.float64)
@@ -162,26 +160,27 @@ class StubRng:
         return self.block
 
 
-def test_draw_scenarios_truncation_equals_floor():
+def test_draw_truncation_equals_floor():
     library = (make_trace([1]), make_trace([1] * 7), make_trace([1] * 40))
-    n, w = 3, 2
+    n = 3
     top = np.nextafter(1.0, 0.0)
     rows = [[0.0] * 7, [top] * 7, [0.5] * 7,
             [top, 0.0, 0.34, 0.0, top, 0.99, top],
             [1 / 3, 2 / 3, 0.0, top, top, top, 0.25]]
     rows += rng(5).random((50, 2 * n + 1)).tolist()
     block = np.array(rows)
-    tr, offs, ends = draw_scenarios(StubRng(block), library, n, w, len(rows))
+    table = _gap_table(library, 1, n)
+    tr, offs, first = _draw(StubRng(block), n, len(rows), table.lengths, table.lmax)
     # the formula before truncation replaced np.floor
     lengths = np.array([len(t) for t in library], dtype=np.int64)
     floor_tr = np.floor(block[:, :n] * len(library)).astype(np.int64)
     floor_offs = np.floor(block[:, n:2 * n] * lengths[floor_tr]).astype(np.int64)
-    floor_ends = w - 1 + np.floor(block[:, 2 * n] * lengths.max()).astype(np.int64)
-    for got, want in ((tr, floor_tr), (offs, floor_offs), (ends, floor_ends)):
+    floor_first = np.floor(block[:, 2 * n] * lengths.max()).astype(np.int64)
+    for got, want in ((tr, floor_tr), (offs, floor_offs), (first, floor_first)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    # the top uniform reaches the last trace, offset and end slot
+    # the top uniform reaches the last trace, offset and first slot
     assert tr[1].tolist() == [2] * n and offs[1].tolist() == [39] * n
-    assert ends[1] == w - 1 + 39
+    assert first[1] == 39
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,9 +322,10 @@ def test_rate_series_of_no_slots_is_empty():
 @given(library=libraries, n=st.integers(0, 6), runs=st.integers(1, 12),
        seed=st.integers(0, 2 ** 32))
 def test_block_draw_equals_run_by_run_draw(library, n, runs, seed):
-    block = draw_scenarios(rng(seed), library, n, 1, runs)
+    table = _gap_table(library, 1, n)
+    block = _draw(rng(seed), n, runs, table.lengths, table.lmax)
     one_by_one = rng(seed)
-    rows = [draw_scenarios(one_by_one, library, n, 1, 1) for _ in range(runs)]
+    rows = [_draw(one_by_one, n, 1, table.lengths, table.lmax) for _ in range(runs)]
     for got, parts in zip(block, zip(*rows)):
         assert np.array_equal(got, np.concatenate(parts))
 
@@ -341,11 +341,12 @@ def test_kernel_exact_near_int64_limit():
     big = 2 ** 59
     library = (make_trace([big + 3, big, 5]), make_trace([big, big + 1]))
     n, w, runs = 7, 2, 200  # 7 * 2 * (2^59 + 3) < 2^63
-    tr, offs, ends = draw_scenarios(rng(1), library, n, w, runs)
-    gap = run_gaps(library, w, tr, offs, ends)
+    table = _gap_table(library, w, n)
+    tr, offs, first = _draw(rng(1), n, runs, table.lengths, table.lmax)
+    gap = run_gaps(table, tr, offs, first)
     for r in range(runs):
         flows = scenario_flows(library, tr[r], offs[r])
-        end = int(ends[r])
+        end = int(first[r]) + w - 1
         # exact integers: float rates of 2^59-byte frames cannot resolve
         # gaps of a few bytes, so the verdict is the sign of this sum
         assert gap[r] == reference_gap(flows, end, w)

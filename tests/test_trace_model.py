@@ -210,6 +210,15 @@ def test_parse_serialize_parse_round_trip(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("fps", [30000 / 1001, 24000 / 1001, 1 / 3])
+def test_serialize_keeps_every_digit_of_fps(tmp_path, fps):
+    trace = VideoTrace(id="t", sizes=[9000, 0, 1500], fps=fps)
+    path = tmp_path / "t.txt"
+    serialize_trace(trace, path)
+    assert path.read_text().splitlines()[0] == f"# fps={fps!r}"
+    assert parse_trace_file(path) == trace
+
+
 # -- flow rate lookup ---------------------------------------------------------
 
 def test_flow_rate_basic():
@@ -556,6 +565,53 @@ def test_threads_sampling_one_fresh_trace_agree():
 def test_invalid_columns_rejected(columns):
     with pytest.raises(ValueError):
         VideoTrace(id="t", fps=30.0, **columns)
+
+
+@pytest.mark.parametrize("columns", [
+    dict(sizes=[1.5, 2.7]),
+    dict(sizes=[-0.5, 3]),
+    dict(sizes=[4, 2.0]),
+    dict(sizes=np.array([1.0, 2.0])),
+    dict(sizes=[True, False]),
+    dict(sizes=np.array([1, 0], dtype=bool)),
+    dict(sizes=["1", "2"]),
+    dict(sizes=[1, 2], indices=[0.5, 1.5]),
+    dict(sizes=[1, 2], indices=[False, True]),
+    dict(sizes=[1, 2], indices=["0", "1"]),
+], ids=["floats", "negative-float", "int-and-float", "float-array", "bools",
+        "bool-array", "strings", "float-indices", "bool-indices", "string-indices"])
+def test_non_integer_columns_refused(columns):
+    # numpy would truncate each of these to int64 without a word
+    with pytest.raises(ValueError,
+                       match=r"^trace clip-7: frame (sizes|indices) must be integers, got "):
+        VideoTrace(id="clip-7", fps=30.0, **columns)
+
+
+@pytest.mark.parametrize("column", [
+    [0, 9, 2 ** 40], (0, 9, 2 ** 40), np.array([0, 9, 2 ** 40]),
+    np.array([0, 9, 2 ** 40], dtype=np.uint64), np.array([0, 9, 2 ** 40], dtype=object),
+    [np.uint8(0), np.int32(9), 2 ** 40],
+], ids=["list", "tuple", "int64", "uint64", "object", "numpy-scalars"])
+def test_integer_columns_of_any_type_accepted(column):
+    trace = VideoTrace(id="t", sizes=column, fps=30.0, indices=column)
+    assert trace.sizes.dtype == trace.indices.dtype == np.int64
+    assert trace.sizes.tolist() == trace.indices.tolist() == [0, 9, 2 ** 40]
+    if isinstance(column, np.ndarray):
+        # the trace holds its own read-only copies; the input stays writable
+        assert column.flags.writeable
+        assert not np.shares_memory(column, trace.sizes)
+        assert not np.shares_memory(column, trace.indices)
+
+
+@pytest.mark.parametrize("big", [
+    [2 ** 63], [-1, 2 ** 63], [1, 2 ** 70], np.array([2 ** 63], dtype=np.uint64),
+], ids=["list", "with-negative", "object", "uint64-array"])
+def test_integers_past_int64_rejected(big):
+    with pytest.raises(ByteOverflow, match="^trace t: a frame size exceeds int64$"):
+        VideoTrace(id="t", sizes=big, fps=30.0)
+    n = len(big)
+    with pytest.raises(ValueError, match="^trace t: a frame index exceeds int64$"):
+        VideoTrace(id="t", sizes=[0] * n, indices=big, fps=30.0)
 
 
 # -- parser fuzz -----------------------------------------------------------------------

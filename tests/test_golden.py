@@ -86,6 +86,11 @@ CASES = {
          "--duration", "150", "--seed", "4"], True, 0,
         "c104ea49179eb8b372d3f37719503eac1ba981f7377fa78ec80e017aacc61cba",
     ),
+    "burstiness-bursty-long": (
+        ["burstiness", "--traces-dir", BURSTY, "--flows", "5,40",
+         "--duration", "3000", "--seed", "4"], True, 0,
+        "7851f1e78ba5e28fe2fb50902bf288bd49b40418ae5bcf94a7ebbdd7ff51d26f",
+    ),
     "burstiness-content": (
         ["burstiness", "--traces-dir", CONTENT, "--flows", "5",
          "--window", "10", "--seed", "5"], True, 0,

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmac.errors import SeriesOverflow, TooShort, VmacError, ZeroMean
+from vmac.rate_engine import aggregate_rate_series
 from vmac.stats import (
     _T_QUANTILE_95,
     SeriesSummary,
@@ -24,6 +26,8 @@ from vmac.stats import (
     peak_to_mean_and_cov,
     summarize,
 )
+
+from vmac.trace_model import FlowInstance
 
 from .conftest import REPO_ROOT, TRACES_DIR
 
@@ -293,6 +297,136 @@ def test_mean_and_ci_takes_the_list_based_mean_and_std(values, confidence):
     got = mean_and_ci(values, confidence)
     assert repr((got.mean, got.ci_half_width)) == repr(
         (s.mean, quantile * s.sample_std / math.sqrt(n)))
+
+
+def list_pmr_and_cov(series):
+    """`peak_to_mean_and_cov` from `list_summary`: the peak-to-mean error
+    first, then the coefficient of variation's."""
+    s = list_summary(series)
+    if s.mean <= 0:
+        raise ZeroMean(f"peak-to-mean needs a positive mean, got {s.mean}")
+    if s.count < 2:
+        raise TooShort("coefficient of variation needs at least 2 values")
+    return s.peak / s.mean, s.sample_std / s.mean
+
+
+# -- long series -------------------------------------------------------------------
+# The pins above draw at most 12 values.  These run the statistics on series
+# long enough to be summed by whole-array passes rather than value by value.
+
+FSUM_CUTOFF = 500  # the shortest series summed by whole-array passes
+LONG_LENGTHS = {"cutoff-1": FSUM_CUTOFF - 1, "cutoff": FSUM_CUTOFF,
+                "3000": 3000, "20000": 20000}
+
+
+def guard(n):
+    """2**(1020 - m) for the smallest m with 2**m >= n + 2: at or above it a
+    largest magnitude is summed by `math.fsum` alone."""
+    return 2.0 ** (1020 - (n + 1).bit_length())
+
+
+def spread(rng, n, low, high):
+    """n doubles of random sign, binary exponents uniform in [low, high)."""
+    signs = rng.choice([-1.0, 1.0], n)
+    return np.ldexp(signs * rng.uniform(0.5, 1.0, n), rng.integers(low, high, n))
+
+
+def near_guard(rng, n, top):
+    """Ordinary rates, with `top` and its negative among them."""
+    values = rng.uniform(0.0, 5e6, n)
+    values[rng.choice(n, 2, replace=False)] = (top, -top)
+    return values
+
+
+def with_specials(rng, n, specials):
+    """Rates in bits/s with each of `specials` at a random position."""
+    values = rng.uniform(0.0, 5e6, n)
+    values[rng.choice(n, len(specials), replace=False)] = specials
+    return values
+
+
+def long_series(name, n, library):
+    """The long series `name` of n values, seeded by its name and length."""
+    rng = np.random.default_rng(zlib.crc32(f"{name}/{n}".encode()))
+    if name in ("bundled-instantaneous", "bundled-average"):
+        flows = [FlowInstance(trace=library[int(t)], start_offset=int(o), flow_id=i)
+                 for i, (t, o) in enumerate(zip(rng.integers(len(library), size=40),
+                                                rng.integers(3000, size=40)))]
+        inst, avg = aggregate_rate_series(flows, 5, n + 4)
+        return inst if name == "bundled-instantaneous" else avg
+    if name == "integers":
+        return [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, n)]
+    if name == "cancelling":  # ±x pairs, and a 0.0 when n is odd: sum 0
+        half = rng.uniform(0.0, 1e9, n // 2)
+        values = np.concatenate([half, -half, np.zeros(n % 2)])
+        return rng.permutation(values)
+    if name == "subnormal":
+        return rng.integers(-2 ** 40, 2 ** 40, n) * 5e-324
+    if name == "full-range":  # 2**-1074 to 2**1000: the squares overflow
+        return spread(rng, n, -1073, 1001)
+    if name == "wide":  # 2**-500 to 2**500: the squares stay finite
+        return spread(rng, n, -500, 501)
+    if name == "under-guard":
+        return near_guard(rng, n, np.nextafter(guard(n), 0.0))
+    if name == "at-guard":
+        return near_guard(rng, n, guard(n))
+    if name == "over-guard":
+        return near_guard(rng, n, np.nextafter(guard(n), math.inf))
+    if name == "signed-zeros":
+        return rng.choice([0.0, -0.0], n)
+    if name == "zeros-among-rates":
+        return with_specials(rng, n, [0.0, -0.0, -0.0, 0.0])
+    if name == "nan":
+        return with_specials(rng, n, [math.nan])
+    if name == "inf":
+        return with_specials(rng, n, [math.inf, -0.0])
+    if name == "both-infinities":
+        return with_specials(rng, n, [-math.inf, math.inf])
+    raise ValueError(name)
+
+
+LONG_INPUTS = [
+    "bundled-instantaneous", "bundled-average", "integers", "cancelling",
+    "subnormal", "full-range", "wide", "under-guard", "at-guard", "over-guard",
+    "signed-zeros", "zeros-among-rates", "nan", "inf", "both-infinities",
+]
+
+
+def long_forms(values):
+    """`values` as a list, a tuple, a float64 array, and strided and
+    reversed float64 views."""
+    values = list(values.tolist() if isinstance(values, np.ndarray) else values)
+    array = np.array(values, dtype=np.float64)
+    spaced = np.full(2 * len(array), 7.25)
+    spaced[::2] = array
+    return {"list": values, "tuple": tuple(values), "array": array,
+            "strided": spaced[::2], "reversed": array[::-1].copy()[::-1]}
+
+
+@pytest.mark.parametrize("length", LONG_LENGTHS.values(), ids=LONG_LENGTHS.keys())
+@pytest.mark.parametrize("name", LONG_INPUTS)
+def test_long_series_equal_the_list_based_code(name, length, bursty_lib):
+    values = long_series(name, length, bursty_lib)
+    assert len(values) == length
+    for form, series in long_forms(values).items():
+        for fn, reference in ((summarize, list_summary),
+                              (coefficient_of_variation, list_cov),
+                              (peak_to_mean_and_cov, list_pmr_and_cov)):
+            assert outcome_repr(fn, series) == outcome_repr(reference, series), (
+                form, fn.__name__)
+
+
+def test_long_series_reach_each_outcome(bursty_lib):
+    # the inputs above reach a value, ZeroMean, SeriesOverflow and NaN
+    outcomes = {name: outcome_repr(summarize, long_series(name, 3000, bursty_lib))
+                for name in LONG_INPUTS}
+    assert outcomes["cancelling"].startswith("SeriesSummary(mean=0.0,")
+    assert outcomes["full-range"][0] is SeriesOverflow
+    assert "nan" in outcomes["nan"] and "inf" in outcomes["inf"]
+    assert outcomes["wide"].startswith("SeriesSummary(")
+    for name in ("cancelling", "signed-zeros"):
+        assert outcome_repr(coefficient_of_variation,
+                            long_series(name, 3000, bursty_lib))[0] is ZeroMean
 
 
 # -- coefficient of variation -----------------------------------------------------

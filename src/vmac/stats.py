@@ -12,9 +12,17 @@ pins it on 10^6 seeded doubles).  ``np.square``, ``x * x`` and ``np.power``
 do not qualify.  On 10^6 seeded doubles of both signs and magnitudes 1e-160
 to 1e160 (numpy 2.4.6 with AVX2 loops, glibc, x86-64), each of the three
 rounds 856 squares differently from ``x ** 2``; ``np.power``, whose AVX-512
-loop is SVML's, rounded 27 280 differently on an AVX-512 host.  Both sums
-are `math.fsum` over the float64 buffer, with no list of Python floats; the
-peak is numpy's ``max`` unless a NaN, an inf or a ±0.0 peak needs Python's.
+loop is SVML's, rounded 27 280 differently on an AVX-512 host.  The peak
+is numpy's ``max`` unless a NaN, an inf or a ±0.0 peak needs Python's.
+
+Both sums equal `math.fsum`'s bit for bit, but from `_FSUM_CUTOFF` values
+on they are formed by `_fsum`'s error-free extraction: a few whole-array
+numpy passes, each splitting off the high bits of every value into an
+exact sum, and `math.fsum` over those few sums and whatever the last pass
+leaves.  Shorter series, such as the repetitions of `mean_and_ci`, and
+series whose largest magnitude is 0, NaN, inf or too near the top of the
+double range for the passes are summed by `math.fsum` itself, so every
+NaN, inf, signed zero and SeriesOverflow stays as fsum gives it.
 
 The t quantile comes from ``scipy.special.stdtrit``: at 95 % confidence and
 1 to 60 degrees of freedom it is read from a table of its values, and any
@@ -59,6 +67,48 @@ _T_QUANTILE_95 = {
 }
 
 
+# below this length `math.fsum` beats the extraction passes of `_fsum`
+_FSUM_CUTOFF = 500
+# extraction passes before `_fsum` hands what is left to `math.fsum`
+_FSUM_PASSES = 3
+
+
+def _fsum(values: np.ndarray, overwrite: bool = False) -> float:
+    """`math.fsum` of a 1-D float64 array, bit for bit, in whole-array passes.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate Floating-Point
+    Summation", SIAM J. Sci. Comput. 31(1), 2008): with 2**m >= n + 2 and
+    every |p| < 2**e, sigma = 2**(m + e) splits each p into q = (p + sigma) -
+    sigma and p - q, both exact; each q is a multiple of 2**-53 * sigma and
+    their magnitudes sum below sigma, so numpy sums them exactly in any
+    order.  Each pass lowers sigma by 2**(m - 53).  The exact pass sums and
+    whatever is left after `_FSUM_PASSES` go to `math.fsum`, which rounds
+    their exact total as it would round the values'.  Short arrays, a
+    largest magnitude of 0, NaN or inf, and one of 2**(1020 - m) or more
+    (where sigma could overflow) go to `math.fsum` whole, with its result
+    or error.  `overwrite` lets the passes work in `values` itself."""
+    n = len(values)
+    if n < _FSUM_CUTOFF:
+        return math.fsum(values.data)
+    q = np.abs(values)  # also the buffer of every pass's q
+    top = float(q.max())
+    m = (n + 1).bit_length()
+    if not 0.0 < top < 2.0 ** (1020 - m):
+        return math.fsum(values.data)
+    sigma = 2.0 ** (m + math.frexp(top)[1])
+    p = values if overwrite else values.copy()
+    parts = []
+    for _ in range(_FSUM_PASSES):
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        parts.append(float(q.sum()))
+        if not p.any():
+            return math.fsum(parts)
+        sigma *= 2.0 ** (m - 53)
+    return math.fsum(parts + p[p != 0].tolist())
+
+
 @dataclass(frozen=True)
 class SeriesSummary:
     mean: float
@@ -85,15 +135,15 @@ def _mean_and_std(series: Sequence[float]) -> tuple[np.ndarray, float, float]:
         raise TooShort("cannot summarize an empty series")
     try:
         values = np.asarray(series, dtype=np.float64)
-        # a 1-D buffer gives fsum floats without a list; 2-D keeps TypeError
-        mean = math.fsum(values.data if values.ndim == 1 else values.tolist()) / n
+        # 2-D input keeps fsum's TypeError
+        mean = (_fsum(values) if values.ndim == 1 else math.fsum(values.tolist())) / n
         std = 0.0
         if n > 1:
             # float_power is libm pow(d, 2.0), as d ** 2 is; np.power and
             # np.square round some squares differently (see the module note)
             with np.errstate(all="ignore", over="raise"):
                 squares = np.float_power(values - mean, 2.0)
-            std = math.sqrt(math.fsum(squares.data) / (n - 1))
+            std = math.sqrt(_fsum(squares, overwrite=True) / (n - 1))
     except (OverflowError, FloatingPointError) as exc:
         raise SeriesOverflow(n) from exc
     return values, mean, std

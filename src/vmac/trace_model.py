@@ -48,6 +48,7 @@ K = 96
 
 
 _TYPE_CHARS = "IPB?"
+_BOOLS = frozenset((bool, np.bool_))
 
 
 class ContentClass(enum.Enum):
@@ -65,8 +66,12 @@ def _int64_column(values, trace_id, name) -> np.ndarray:
     column = np.asarray(values)
     if column.size and column.dtype.kind == "u" and column.max() > INT64_MAX:
         raise OverflowError(name)
-    if column.size and column.dtype.kind not in "iu":
-        # numpy holds Python ints beyond int64 as float64 or as objects
+    # numpy holds Python ints beyond int64 as float64 or as objects, and
+    # reads a bool among Python ints as an int, so the value types of a
+    # sequence are checked too; an integer array holds no bools
+    if column.size and (column.dtype.kind not in "iu" or (
+            column.ndim == 1 and not isinstance(values, np.ndarray)
+            and not _BOOLS.isdisjoint(map(type, values)))):
         column = np.asarray(values, dtype=object)
         for v in column.flat:
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
@@ -345,11 +350,17 @@ def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
         fps = fps_override
     if fps is None:
         raise MissingFps(path)
-    # a size beyond int64 raises ByteOverflow here, a bad `fps_override`
-    # ValueError: neither is the fault of one line
+    # the columns go over as int64 arrays, which VideoTrace need not scan
+    # for bools; a size beyond int64 stays a list, for which VideoTrace
+    # raises ByteOverflow, and a bad `fps_override` raises ValueError there:
+    # neither is the fault of one line
+    try:
+        sizes = np.array(sizes, dtype=np.int64)
+    except OverflowError:
+        pass
     return VideoTrace(
         id=path.stem, sizes=sizes, fps=fps, content_class=content_class,
-        frame_types=types, indices=indices,
+        frame_types=types, indices=np.array(indices, dtype=np.int64),
     )
 
 

@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 from vmac.errors import SeriesOverflow, TooShort, VmacError, ZeroMean
 from vmac.rate_engine import aggregate_rate_series
 from vmac.stats import (
+    _FSUM_CUTOFF,
+    _FSUM_PASSES,
     _T_QUANTILE_95,
     SeriesSummary,
+    _fsum,
     coefficient_of_variation,
     mean_and_ci,
     peak_to_mean,
@@ -314,8 +317,7 @@ def list_pmr_and_cov(series):
 # The pins above draw at most 12 values.  These run the statistics on series
 # long enough to be summed by whole-array passes rather than value by value.
 
-FSUM_CUTOFF = 500  # the shortest series summed by whole-array passes
-LONG_LENGTHS = {"cutoff-1": FSUM_CUTOFF - 1, "cutoff": FSUM_CUTOFF,
+LONG_LENGTHS = {"cutoff-1": _FSUM_CUTOFF - 1, "cutoff": _FSUM_CUTOFF,
                 "3000": 3000, "20000": 20000}
 
 
@@ -372,8 +374,14 @@ def long_series(name, n, library):
         return near_guard(rng, n, guard(n))
     if name == "over-guard":
         return near_guard(rng, n, np.nextafter(guard(n), math.inf))
+    if name == "top-of-range":  # fsum cancels them; the squares overflow
+        return near_guard(rng, n, sys.float_info.max)
+    if name == "same-sign-near-top":  # the pass sums come nearest their bound
+        return np.ldexp(rng.uniform(1.0 - 2.0 ** -20, 1.0, n), 600)
     if name == "signed-zeros":
         return rng.choice([0.0, -0.0], n)
+    if name == "negative-zeros":
+        return np.full(n, -0.0)
     if name == "zeros-among-rates":
         return with_specials(rng, n, [0.0, -0.0, -0.0, 0.0])
     if name == "nan":
@@ -388,7 +396,8 @@ def long_series(name, n, library):
 LONG_INPUTS = [
     "bundled-instantaneous", "bundled-average", "integers", "cancelling",
     "subnormal", "full-range", "wide", "under-guard", "at-guard", "over-guard",
-    "signed-zeros", "zeros-among-rates", "nan", "inf", "both-infinities",
+    "top-of-range", "same-sign-near-top", "signed-zeros", "negative-zeros",
+    "zeros-among-rates", "nan", "inf", "both-infinities",
 ]
 
 
@@ -424,9 +433,125 @@ def test_long_series_reach_each_outcome(bursty_lib):
     assert outcomes["full-range"][0] is SeriesOverflow
     assert "nan" in outcomes["nan"] and "inf" in outcomes["inf"]
     assert outcomes["wide"].startswith("SeriesSummary(")
-    for name in ("cancelling", "signed-zeros"):
+    assert outcomes["top-of-range"][0] is SeriesOverflow
+    for name in ("cancelling", "signed-zeros", "negative-zeros"):
         assert outcome_repr(coefficient_of_variation,
                             long_series(name, 3000, bursty_lib))[0] is ZeroMean
+
+
+# -- exact sums by extraction --------------------------------------------------------
+
+@st.composite
+def fsum_arrays(draw):
+    """A float64 array of any length: ordinary, integer, cancelling,
+    subnormal or same-sign values of nearly equal magnitude, or values whose
+    binary exponents span a drawn range anywhere in the double range, with
+    NaN, infinities and signed zeros at drawn positions."""
+    n = draw(st.integers(0, 2 * _FSUM_CUTOFF) | st.integers(_FSUM_CUTOFF, 20000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["uniform", "integers", "cancelling", "subnormal",
+                                 "same-sign", "spread"]))
+    if kind == "uniform":
+        values = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1.0, 1e6, 1e300]))
+    elif kind == "integers":
+        values = rng.integers(-2 ** 62, 2 ** 62, n).astype(np.float64)
+    elif kind == "cancelling":
+        half = rng.uniform(0.0, 1e9, n // 2)
+        values = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+    elif kind == "subnormal":
+        values = rng.integers(-2 ** 52, 2 ** 52, n) * 5e-324
+    elif kind == "same-sign":  # the pass sums come nearest their bound
+        values = np.ldexp(rng.uniform(1.0 - 2.0 ** -20, 1.0, n),
+                          draw(st.integers(-1000, 1000)))
+    else:
+        low = draw(st.integers(-1073, 1023))
+        values = spread(rng, n, low, draw(st.integers(low + 1, 1024)))
+    for special in draw(st.lists(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 0.0, -0.0]), max_size=3 if n else 0)):
+        values[draw(st.integers(0, n - 1))] = special
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(fsum_arrays())
+def test_fsum_equals_math_fsum(values):
+    before = values.copy()
+    assert outcome_repr(_fsum, values) == outcome_repr(math.fsum, values.tolist())
+    assert np.array_equal(values, before, equal_nan=True)
+
+
+def spy_on_fsum(monkeypatch):
+    """Record what each `math.fsum` call is given, as a list."""
+    calls, real = [], math.fsum
+
+    def fsum(values):
+        calls.append(list(values))
+        return real(values)
+    monkeypatch.setattr(math, "fsum", fsum)
+    return calls
+
+
+def test_fsum_sums_by_passes_from_the_cutoff(monkeypatch):
+    rng = np.random.default_rng(5)
+    calls = spy_on_fsum(monkeypatch)
+    for n in (5, _FSUM_CUTOFF - 1, _FSUM_CUTOFF, 3000):
+        values = rng.uniform(0.0, 1e6, n)
+        calls.clear()
+        _fsum(values)
+        # below the cutoff math.fsum reads every value; from it, only the
+        # exact sum of each pass and what is left after the last
+        (given,) = calls
+        if n < _FSUM_CUTOFF:
+            assert len(given) == n
+        else:
+            assert len(given) <= _FSUM_PASSES
+
+
+def test_fsum_hands_what_the_passes_leave_to_math_fsum(monkeypatch):
+    # huge values that cancel exactly and tiny ones that do not: the passes
+    # extract the huge ones, the tiny ones are left over, and they alone
+    # make the sum
+    rng = np.random.default_rng(6)
+    huge = spread(rng, 1500, 990, 1000)
+    tiny = spread(rng, 20, -1070, -1000)
+    values = rng.permutation(np.concatenate([huge, -huge, tiny]))
+    before = values.copy()
+    want = math.fsum(values.tolist())
+    assert want == math.fsum(tiny.tolist()) != 0.0
+    calls = spy_on_fsum(monkeypatch)
+    assert _fsum(values).hex() == want.hex()
+    (parts,) = calls
+    assert sum(parts[:_FSUM_PASSES]) == 0.0
+    assert sorted(parts[_FSUM_PASSES:]) == sorted(tiny.tolist())
+    assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("top", [
+    sys.float_info.max, 2.0 ** 1023, 2.0 ** 1009, 2.0 ** 1008, 1e300,
+])
+@pytest.mark.parametrize("n", [_FSUM_CUTOFF, 3000, 20000])
+def test_fsum_near_the_top_of_the_double_range(top, n):
+    # one largest magnitude with ordinary values, all of one sign (whose sum
+    # may overflow) or cancelling with its negative
+    rng = np.random.default_rng(8)
+    values = rng.uniform(0.0, top / n, n)
+    values[n // 2] = top
+    for array in (values, np.concatenate([values, [-top]])):
+        assert outcome_repr(_fsum, array) == outcome_repr(math.fsum, array.tolist())
+
+
+@pytest.mark.parametrize("form", ["contiguous", "strided", "reversed"])
+def test_fsum_leaves_its_input_as_it_was(form):
+    rng = np.random.default_rng(7)
+    values = spread(rng, 6000, -600, 600)
+    view = {"contiguous": values[:3000], "strided": values[::2],
+            "reversed": values[::-1]}[form]
+    before, before_view = values.copy(), view.copy()
+    got = _fsum(view)
+    assert got.hex() == math.fsum(before_view.tolist()).hex()
+    assert np.array_equal(values, before)
+    # with overwrite the passes may use the array itself: same sum
+    assert _fsum(view.copy(), overwrite=True).hex() == got.hex()
 
 
 # -- coefficient of variation -----------------------------------------------------

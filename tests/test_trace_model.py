@@ -275,6 +275,16 @@ def test_frame_size_beyond_int64_rejected(tmp_path):
         parse_trace_file(p)
 
 
+@pytest.mark.parametrize("size", [2 ** 63, 10 ** 20])
+def test_parsed_size_beyond_int64_names_the_trace(tmp_path, size):
+    # the parser hands its columns over as int64 arrays, except where a
+    # size does not fit, which VideoTrace refuses
+    p = tmp_path / "huge.txt"
+    p.write_text(f"# fps=30\n0 I 100\n1 P {size}\n")
+    with pytest.raises(ByteOverflow, match="^trace huge: a frame size exceeds int64$"):
+        parse_trace_file(p)
+
+
 def test_window_sum_that_would_wrap_rejected():
     # three frames of 2^62 bytes: a two-slot window sum is 2^63, one past
     # int64, and used to come back as -2^63
@@ -560,6 +570,7 @@ def test_threads_sampling_one_fresh_trace_agree():
         dict(sizes=[1, 2], indices=[0, 2 ** 63]),
         dict(sizes=[1, 2], frame_types="I"),
         dict(sizes=[1, 2], frame_types="IX"),
+        dict(sizes=5),
     ],
 )
 def test_invalid_columns_rejected(columns):
@@ -578,13 +589,25 @@ def test_invalid_columns_rejected(columns):
     dict(sizes=[1, 2], indices=[0.5, 1.5]),
     dict(sizes=[1, 2], indices=[False, True]),
     dict(sizes=[1, 2], indices=["0", "1"]),
+    dict(sizes=[True, 2]),
+    dict(sizes=(3, np.False_, 5)),
+    dict(sizes=[1, 2], indices=[False, 1]),
 ], ids=["floats", "negative-float", "int-and-float", "float-array", "bools",
-        "bool-array", "strings", "float-indices", "bool-indices", "string-indices"])
+        "bool-array", "strings", "float-indices", "bool-indices", "string-indices",
+        "bool-among-ints", "numpy-bool-among-ints", "bool-among-int-indices"])
 def test_non_integer_columns_refused(columns):
     # numpy would truncate each of these to int64 without a word
     with pytest.raises(ValueError,
                        match=r"^trace clip-7: frame (sizes|indices) must be integers, got "):
         VideoTrace(id="clip-7", fps=30.0, **columns)
+
+
+def test_bool_among_ints_named_in_the_error():
+    # numpy reads [True, 2] as the int64 column [1, 2]
+    with pytest.raises(ValueError, match="^trace t: frame sizes must be integers, got bool True$"):
+        VideoTrace(id="t", sizes=[4, True, 2], fps=30.0)
+    with pytest.raises(ValueError, match="^trace t: frame indices must be integers, got bool False$"):
+        VideoTrace(id="t", sizes=[4, 2], indices=[False, 1], fps=30.0)
 
 
 @pytest.mark.parametrize("column", [

@@ -340,3 +340,83 @@ def test_threads_sampling_one_fresh_trace_at_two_windows_agree():
                 ) for end in range(w - 1, w + 39)]
     finally:
         sys.setswitchinterval(interval)
+
+
+def assert_sample_bits_are_reference(flows, window):
+    """`rate_sample` equals the two reference rates in type and every bit."""
+    sample = rate_sample(flows, window)
+    for got, want in ((sample.instantaneous,
+                       instantaneous_aggregate_rate(flows, window.end_slot)),
+                      (sample.average, average_aggregate_rate(flows, window))):
+        assert (type(got), repr(got)) == (type(want), repr(want))
+    assert sample.window is window
+
+
+@pytest.mark.parametrize("first_fps", [30, 30.0])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_rate_sample_of_int_and_float_fps_in_one_flow_set(first_fps, sampled):
+    # fps=30 and fps=30.0 are one frame rate: no MixedFps, and the rates
+    # take the first flow's fps, as the reference rates do
+    other_fps = 30.0 if first_fps == 30 else 30
+    sizes = [5, 0, 9, 12, 3, 2 ** 40, 7]
+    first = make_trace(sizes, fps=first_fps, trace_id="first")
+    same_len = make_trace(sizes[::-1], fps=other_fps, trace_id="same-length")
+    other_len = make_trace(sizes[:4], fps=other_fps, trace_id="other-length")
+    flows = [FlowInstance(trace=t, start_offset=o)
+             for o in (0, 3) for t in (first, same_len, other_len)]
+    if sampled:
+        for t in (same_len, other_len):
+            rate_sample([FlowInstance(trace=t, start_offset=0)], MeasurementWindow(9, 4))
+    for w in (1, 4, 7, 9):
+        for end in (w - 1, w + 5, 10 ** 12 + w):
+            assert_sample_bits_are_reference(flows, MeasurementWindow(end, w))
+
+
+def test_rate_sample_at_w_300_mixing_stale_and_fresh_tables():
+    # tables left at other window lengths, some of them above CPython's
+    # small-int cache, interleaved in one call with traces never sampled;
+    # two traces of each length, so equal lengths meet in one pass
+    lengths = (7, 299, 300, 301, 1000)
+    traces = [make_trace([(31 * k * k + 7 * k + i) % 100_003 for k in range(n)],
+                         trace_id=f"n{n}-{i}")
+              for n in lengths for i in range(2)]
+    for i, trace in enumerate(traces):
+        if i % 2:
+            continue  # left fresh
+        stale_w = (5, 299, 301, 600)[i // 2 % 4]
+        rate_sample([FlowInstance(trace=trace, start_offset=0)],
+                    MeasurementWindow(stale_w - 1, stale_w))
+    flows = [FlowInstance(trace=t, start_offset=(17 * j) % len(t))
+             for j, t in enumerate(traces + traces[::-1])]
+    for end in (299, 300, 1298, 10 ** 12 - 1):
+        assert_sample_bits_are_reference(flows, MeasurementWindow(end, 300))
+    # and the stale tables again, now that every trace holds w = 300
+    for w in (299, 300, 5):
+        assert_sample_bits_are_reference(flows, MeasurementWindow(10 ** 6 + w, w))
+
+
+@pytest.mark.parametrize("end", [10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1,
+                                 2 ** 40 + 12_345, 999_999_999_989])
+def test_rate_sample_at_end_slots_near_10_12(end):
+    # the slot of the window's start, taken modulo each trace's length, is
+    # a large int here; lengths include primes and powers of two
+    traces = [make_trace([(k * 7919 + n) % 65_537 for k in range(n)], trace_id=f"n{n}")
+              for n in (1, 2, 3, 64, 97, 1000, 3000)]
+    flows = [FlowInstance(trace=t, start_offset=o % len(t))
+             for t in traces for o in (0, 1, 50)]
+    for w in (1, 5, 96, 3001):
+        assert_sample_bits_are_reference(flows, MeasurementWindow(end, w))
+
+
+def test_rate_sample_of_one_and_two_frame_traces():
+    one = make_trace([2 ** 61], trace_id="one")
+    one_b = make_trace([0], trace_id="one-b")
+    two = make_trace([3, 2 ** 50], trace_id="two")
+    two_b = make_trace([2 ** 40, 0], trace_id="two-b")
+    flows = [FlowInstance(trace=t, start_offset=o)
+             for o in (0, 1) for t in (one, two, one_b, two_b) if o < len(t)]
+    for w in (1, 2, 3, 4, 5, 2, 1):
+        for end in range(w - 1, w + 4):
+            assert_sample_bits_are_reference(flows, MeasurementWindow(end, w))
+            assert_sample_bits_are_reference(flows[::-1], MeasurementWindow(end, w))
+        assert_sample_bits_are_reference(flows, MeasurementWindow(10 ** 12 + w, w))

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ByteOverflow, MixedFps, RateOverflow, WindowOutOfRange
-from .trace_model import BITS_PER_BYTE, INT64_MAX, K, FlowInstance
+from .trace_model import BITS_PER_BYTE, INT64_MAX, K, FlowInstance, _int_field
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,9 @@ class MeasurementWindow:
     length_slots: int
 
     def __post_init__(self):
+        if type(self.end_slot) is not int or type(self.length_slots) is not int:
+            for name in ("end_slot", "length_slots"):
+                object.__setattr__(self, name, _int_field(getattr(self, name), name))
         if self.length_slots < 1:
             raise ValueError(f"length_slots must be >= 1, got {self.length_slots}")
         if self.end_slot < self.length_slots - 1:
@@ -37,6 +40,9 @@ class MeasurementWindow:
     def start_slot(self) -> int:
         return self.end_slot - self.length_slots + 1
 
+
+# the low `K` bits of a sum of window table entries: the last slot's bytes
+_LAST_SLOT = 2 ** K - 1
 
 # builds a NamedTuple record as its generated `__new__` does, by
 # `new_record(Record, (field, ...))` in field order, without that Python frame
@@ -170,23 +176,31 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
     low `K` bits sum the last slot's bytes and whose high bits sum the
     window's; the sums are exact at any size, and the bytes and rates equal
     `instantaneous_aggregate_rate` and `average_aggregate_rate` exactly, for
-    any window length.  A trace keeps one table, for the last window length
-    sampled: the first sample of a trace, or of another length, builds one
-    (about 0.5 ms for 3 000 frames).  Raises RateOverflow, as they do, when
-    a rate exceeds the largest double.
+    any window length.  Tables of one `(w, n, fps)` share one key object,
+    so a flow whose table holds the key of the flow before it costs one
+    identity test: its start slot is `start_offset + first % n`, taken
+    once per key, which the table's 2n - 1 entries cover without a modulo.
+    A trace keeps one table, for the last window length sampled: the first
+    sample of a trace, or of another length, builds one (about 0.5 ms for
+    3 000 frames).  Raises RateOverflow, as they do, when a rate exceeds
+    the largest double.
     """
     fps = flows[0].trace.fps if flows else 0.0
     w = window.length_slots
     first = window.end_slot - w + 1
-    total = n = 0
+    total = 0
+    key = None
     for f in flows:
-        tw, packed, tn, tfps = f.trace._window
-        if tw != w or tn != n or tfps != fps:
+        tkey, packed = f.trace._window
+        if tkey is not key:
+            tw, n, tfps = tkey
             if tfps != fps:
                 _shared_fps(flows)  # raises MixedFps
-            tw, packed, n, tfps = f.trace.window_table(w)
-        total += packed[(f.start_offset + first) % n]
-    inst = (total & (2 ** K - 1)) * BITS_PER_BYTE * fps
+            if tw != w:
+                tkey, packed = f.trace.window_table(w)
+            key, first_mod = tkey, first % n
+        total += packed[f.start_offset + first_mod]
+    inst = (total & _LAST_SLOT) * BITS_PER_BYTE * fps
     avg = (total >> K) * BITS_PER_BYTE / w * fps
     if inst == inf or avg == inf:
         raise _rate_overflow(flows, fps)

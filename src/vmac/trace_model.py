@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, lshift
@@ -46,6 +47,10 @@ INT64_MAX = 2 ** 63 - 1
 # below 2**62, so the last-slot bytes of under 2**34 flows sum below 2**K
 K = 96
 
+
+# one key object per window table shape `(w, n, fps)` ever built, so that
+# `rate_sample` tells tables of one shape apart by identity alone
+_KEYS: dict = {}
 
 _TYPE_CHARS = "IPB?"
 _BOOLS = frozenset((bool, np.bool_))
@@ -80,6 +85,17 @@ def _int64_column(values, trace_id, name) -> np.ndarray:
     return column.astype(np.int64)
 
 
+def _int_field(value, name: str) -> int:
+    """`value` as a Python int.  Raises ValueError naming the field for a
+    bool and for anything `operator.index` refuses, such as a float."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class VideoTrace:
     """Immutable parsed trace, held as columns; shareable across threads.
@@ -96,12 +112,12 @@ class VideoTrace:
     fields, so `fields`, `asdict` and `astuple` never see them: `_cum2`, the
     doubled prefix sum of `sizes` for O(1) wrapped window sums, as the
     read-only int64 array the Monte Carlo gap table reads; `_window`, the
-    window table `(w, packed, n, fps)` that `window_table` builds for the
-    last window length sampled, from which `rate_sample` reads one int per
-    flow (w is 0 until the first sample); and `_peak`, the largest frame
-    size as a Python int, from which every int64 byte sum over the trace is
-    bounded.  None of them is part of equality, hash, repr or pickle, so a
-    trace that has a table behaves as one that has not.
+    window table `(key, packed)` that `window_table` builds for the last
+    window length sampled, from which `rate_sample` reads one int per flow
+    (`((0, n, fps), ())` until the first sample); and `_peak`, the largest
+    frame size as a Python int, from which every int64 byte sum over the
+    trace is bounded.  None of them is part of equality, hash, repr or
+    pickle, so a trace that has a table behaves as one that has not.
     """
 
     id: str
@@ -156,7 +172,7 @@ class VideoTrace:
             column.flags.writeable = False
         for name, value in (
             ("sizes", sizes), ("indices", indices), ("_cum2", cum2),
-            ("_window", (0, (), n, self.fps)), ("_peak", peak),
+            ("_window", ((0, n, self.fps), ())), ("_peak", peak),
             ("frame_types", frame_types),
         ):
             object.__setattr__(self, name, value)
@@ -184,20 +200,25 @@ class VideoTrace:
         ))
 
     def window_table(self, w: int) -> tuple:
-        """`(w, packed, n, fps)`: for each start slot s in [0, n), the bytes
-        of the w slots from s, whole periods included, shifted left by `K`,
-        plus the bytes of the last of them, as one Python int.  Built on the
-        first call with a new `w` (about 0.5 ms and 48 bytes a frame for
-        3 000 frames) and kept until a call with another `w` replaces it:
-        one table per trace.  A racing thread gets the table for its own w."""
+        """`(key, packed)`: `key` is `(w, n, fps)`, one object for every table
+        of equal `(w, n, fps)`; `packed` holds, for each start slot s in
+        [0, n), the bytes of the w slots from s, whole periods included,
+        shifted left by `K`, plus the bytes of the last of them, as one
+        Python int, and then its first n - 1 entries again, so start slots
+        up to 2n - 2 need no modulo.  Built on the first call with a new `w`
+        (about 0.5 ms and 56 bytes a frame for 3 000 frames) and kept until
+        a call with another `w` replaces it: one table per trace.  A racing
+        thread gets the table for its own w."""
         table = self._window
-        if table[0] != w:
+        if table[0][0] != w:
             n, c = len(self.sizes), self._cum2
             whole, rem = divmod(w, n)
             j = (w - 1) % n  # the last slot's offset from the window start
             win = map(add, (c[rem:rem + n] - c[:n]).tolist(), repeat(whole * int(c[n])))
             last = self.sizes[j:].tolist() + self.sizes[:j].tolist()
-            table = (w, tuple(map(add, map(lshift, win, repeat(K)), last)), n, self.fps)
+            packed = tuple(map(add, map(lshift, win, repeat(K)), last))
+            key = (w, n, self.fps)
+            table = (_KEYS.setdefault(key, key), packed + packed[:n - 1])
             object.__setattr__(self, "_window", table)
         return table
 
@@ -244,6 +265,8 @@ class FlowInstance:
     flow_id: int = 0
 
     def __post_init__(self):
+        for name in ("start_offset", "flow_id"):
+            object.__setattr__(self, name, _int_field(getattr(self, name), name))
         if not 0 <= self.start_offset < len(self.trace):
             raise ValueError(
                 f"start_offset {self.start_offset} outside trace of length "

@@ -3,6 +3,7 @@
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,26 @@ def test_window_out_of_range():
 def test_window_length_validation():
     with pytest.raises(ValueError):
         MeasurementWindow(end_slot=0, length_slots=0)
+
+
+@pytest.mark.parametrize("end, w, field", [
+    (4.0, 2, "end_slot"), (4, 2.0, "length_slots"), (4, True, "length_slots"),
+    (True, 1, "end_slot"), (4, np.True_, "length_slots"),
+    (np.float64(4.0), 2, "end_slot"), ("4", 2, "end_slot"), (4, None, "length_slots"),
+], ids=["float-end", "float-length", "bool-length", "bool-end", "numpy-bool-length",
+        "numpy-float-end", "string-end", "none-length"])
+def test_window_fields_must_be_integers(end, w, field):
+    # MeasurementWindow(4, True) used to measure a 1-slot window
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        MeasurementWindow(end, w)
+
+
+def test_window_fields_store_python_ints():
+    window = MeasurementWindow(np.int64(9), np.int32(4))
+    assert (type(window.end_slot), type(window.length_slots)) == (int, int)
+    assert window == MeasurementWindow(9, 4) and window.start_slot == 6
+    flows = [FlowInstance(trace=make_trace([3, 1, 4, 1, 5]), start_offset=np.int64(2))]
+    assert_sample_is_reference(flows, window)
 
 
 def test_one_slot_window_average_equals_instantaneous():

@@ -46,7 +46,7 @@ from vmac.trace_model import (
     synth_onoff_trace,
 )
 
-from .conftest import flow_rate_at, make_trace, rate_at
+from .conftest import TRACES_DIR, flow_rate_at, make_trace, rate_at
 
 
 # -- parsing ------------------------------------------------------------------
@@ -394,6 +394,27 @@ def test_flow_offset_validation():
         FlowInstance(trace=trace, start_offset=3)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("start_offset", 1.0), ("start_offset", True), ("start_offset", np.True_),
+    ("start_offset", np.float64(1.0)), ("start_offset", "1"), ("start_offset", None),
+    ("flow_id", 2.5), ("flow_id", False), ("flow_id", "a"),
+], ids=["float", "bool", "numpy-bool", "numpy-float", "string", "none",
+        "float-id", "bool-id", "string-id"])
+def test_flow_fields_must_be_integers(field, value):
+    # a float offset used to construct and then fail inside rate_sample
+    columns = {"start_offset": 1, "flow_id": 0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        FlowInstance(trace=make_trace([1, 2, 3]), **columns)
+
+
+def test_flow_fields_store_python_ints():
+    flow = FlowInstance(trace=make_trace([1, 2, 3]), start_offset=np.int64(2),
+                        flow_id=np.uint8(7))
+    assert (type(flow.start_offset), type(flow.flow_id)) == (int, int)
+    assert (flow.start_offset, flow.flow_id) == (2, 7)
+    assert flow == FlowInstance(trace=flow.trace, start_offset=2, flow_id=7)
+
+
 # -- columnar traces ---------------------------------------------------------------
 
 def test_columns_are_read_only():
@@ -463,16 +484,16 @@ def sampled_and_fresh_trace():
 
 def direct_window_table(trace, w):
     """The window table for `w` computed directly from `sizes`, without the
-    prefix sum: for each start slot, the window's bytes shifted left by K
-    plus its last slot's bytes."""
+    prefix sum: for each start slot s up to 2n - 2, the window's bytes from
+    s shifted left by K plus its last slot's bytes."""
     sizes = trace.sizes.tolist()
     n = len(sizes)
     packed = tuple((trace.window_bytes(s, w) << K) + sizes[(s + w - 1) % n]
-                   for s in range(n))
-    return (w, packed, n, trace.fps)
+                   for s in range(2 * n - 1))
+    return ((w, n, trace.fps), packed)
 
 
-NO_TABLE = (0, (), 5, 25.0)  # `_window` of a 5-frame, 25 fps trace never sampled
+NO_TABLE = ((0, 5, 25.0), ())  # `_window` of a 5-frame, 25 fps trace never sampled
 
 
 def test_window_table_equals_direct_sums():
@@ -488,6 +509,23 @@ def test_window_table_equals_direct_sums():
     for w in (1, 3, 5, 6, 12, 7, 1):
         assert read.window_table(w) == direct_window_table(fresh, w)
         assert read._window is read.window_table(w)
+
+
+def test_equal_shape_tables_share_one_key():
+    # separately parsed traces of one length and fps hold one key object
+    # after one call at w = 300; a trace of another length holds another
+    paths = sorted((TRACES_DIR / "bursty").glob("*.txt"))[:2]
+    traces = [parse_trace_file(p) for p in paths + paths]
+    short = parse_trace_file(TRACES_DIR / "samples" / "sample-0.txt")
+    flows = [FlowInstance(trace=t, start_offset=i) for i, t in enumerate(traces + [short])]
+    rate_sample(flows, MeasurementWindow(10 ** 6, 300))
+    keys = [t._window[0] for t in traces]
+    assert keys[0] == (300, 3000, 30.0)
+    assert all(key is keys[0] for key in keys)
+    assert short._window[0] == (300, 900, 30.0)
+    # a later build of that shape, at another w and back, takes the same key
+    assert traces[0].window_table(5)[0] is not keys[0]
+    assert traces[0].window_table(300)[0] is keys[0]
 
 
 def test_window_table_is_invisible():

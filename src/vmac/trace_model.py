@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, lshift
+from operator import add, index, lshift
 from pathlib import Path
 from typing import Optional
 
@@ -88,9 +87,9 @@ def _int64_column(values, trace_id, name) -> np.ndarray:
 def _int_field(value, name: str) -> int:
     """`value` as a Python int.  Raises ValueError naming the field for a
     bool and for anything `operator.index` refuses, such as a float."""
-    if not isinstance(value, (bool, np.bool_)):
+    if type(value) not in _BOOLS:
         try:
-            return operator.index(value)
+            return index(value)
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")

@@ -265,10 +265,12 @@ def test_rates_beyond_the_double_range(sizes, fps, end, w, overflows):
 
 
 def assert_sample_is_reference(flows, window):
-    """`rate_sample` equals the two reference rates bit for bit."""
+    """`rate_sample` equals the two reference rates in type and every bit."""
     sample = rate_sample(flows, window)
-    assert sample.instantaneous == instantaneous_aggregate_rate(flows, window.end_slot)
-    assert sample.average == average_aggregate_rate(flows, window)
+    for got, want in ((sample.instantaneous,
+                       instantaneous_aggregate_rate(flows, window.end_slot)),
+                      (sample.average, average_aggregate_rate(flows, window))):
+        assert (type(got), repr(got)) == (type(want), repr(want))
     assert sample.window is window
 
 
@@ -363,16 +365,6 @@ def test_threads_sampling_one_fresh_trace_at_two_windows_agree():
         sys.setswitchinterval(interval)
 
 
-def assert_sample_bits_are_reference(flows, window):
-    """`rate_sample` equals the two reference rates in type and every bit."""
-    sample = rate_sample(flows, window)
-    for got, want in ((sample.instantaneous,
-                       instantaneous_aggregate_rate(flows, window.end_slot)),
-                      (sample.average, average_aggregate_rate(flows, window))):
-        assert (type(got), repr(got)) == (type(want), repr(want))
-    assert sample.window is window
-
-
 @pytest.mark.parametrize("first_fps", [30, 30.0])
 @pytest.mark.parametrize("sampled", [False, True])
 def test_rate_sample_of_int_and_float_fps_in_one_flow_set(first_fps, sampled):
@@ -390,7 +382,7 @@ def test_rate_sample_of_int_and_float_fps_in_one_flow_set(first_fps, sampled):
             rate_sample([FlowInstance(trace=t, start_offset=0)], MeasurementWindow(9, 4))
     for w in (1, 4, 7, 9):
         for end in (w - 1, w + 5, 10 ** 12 + w):
-            assert_sample_bits_are_reference(flows, MeasurementWindow(end, w))
+            assert_sample_is_reference(flows, MeasurementWindow(end, w))
 
 
 def test_rate_sample_at_w_300_mixing_stale_and_fresh_tables():
@@ -410,10 +402,10 @@ def test_rate_sample_at_w_300_mixing_stale_and_fresh_tables():
     flows = [FlowInstance(trace=t, start_offset=(17 * j) % len(t))
              for j, t in enumerate(traces + traces[::-1])]
     for end in (299, 300, 1298, 10 ** 12 - 1):
-        assert_sample_bits_are_reference(flows, MeasurementWindow(end, 300))
+        assert_sample_is_reference(flows, MeasurementWindow(end, 300))
     # and the stale tables again, now that every trace holds w = 300
     for w in (299, 300, 5):
-        assert_sample_bits_are_reference(flows, MeasurementWindow(10 ** 6 + w, w))
+        assert_sample_is_reference(flows, MeasurementWindow(10 ** 6 + w, w))
 
 
 @pytest.mark.parametrize("end", [10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1,
@@ -426,7 +418,7 @@ def test_rate_sample_at_end_slots_near_10_12(end):
     flows = [FlowInstance(trace=t, start_offset=o % len(t))
              for t in traces for o in (0, 1, 50)]
     for w in (1, 5, 96, 3001):
-        assert_sample_bits_are_reference(flows, MeasurementWindow(end, w))
+        assert_sample_is_reference(flows, MeasurementWindow(end, w))
 
 
 def test_rate_sample_of_one_and_two_frame_traces():
@@ -438,6 +430,6 @@ def test_rate_sample_of_one_and_two_frame_traces():
              for o in (0, 1) for t in (one, two, one_b, two_b) if o < len(t)]
     for w in (1, 2, 3, 4, 5, 2, 1):
         for end in range(w - 1, w + 4):
-            assert_sample_bits_are_reference(flows, MeasurementWindow(end, w))
-            assert_sample_bits_are_reference(flows[::-1], MeasurementWindow(end, w))
-        assert_sample_bits_are_reference(flows, MeasurementWindow(10 ** 12 + w, w))
+            assert_sample_is_reference(flows, MeasurementWindow(end, w))
+            assert_sample_is_reference(flows[::-1], MeasurementWindow(end, w))
+        assert_sample_is_reference(flows, MeasurementWindow(10 ** 12 + w, w))

@@ -425,6 +425,18 @@ def test_long_series_equal_the_list_based_code(name, length, bursty_lib):
                 form, fn.__name__)
 
 
+@pytest.mark.parametrize("length", LONG_LENGTHS.values(), ids=LONG_LENGTHS.keys())
+@pytest.mark.parametrize("name", LONG_INPUTS)
+def test_long_series_peak_to_mean_equals_the_list_based_code(name, length, bursty_lib):
+    # the reference iterates the series itself, so an array reaches it as
+    # the list of its values
+    values = long_series(name, length, bursty_lib)
+    for form, series in long_forms(values).items():
+        listed = series.tolist() if isinstance(series, np.ndarray) else series
+        assert (outcome_repr(peak_to_mean, series)
+                == outcome_repr(list_peak_to_mean, listed)), form
+
+
 def test_long_series_reach_each_outcome(bursty_lib):
     # the inputs above reach a value, ZeroMean, SeriesOverflow and NaN
     outcomes = {name: outcome_repr(summarize, long_series(name, 3000, bursty_lib))

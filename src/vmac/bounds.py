@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateRanges, InsufficientHistory
 from .rate_engine import MeasurementWindow, aggregate_rate_series
-from .trace_model import FlowInstance, FlowRateBounds
+from .trace_model import FlowInstance, FlowRateBounds, _int_field
 
 # exp() underflows to 0 below this exponent; we clamp instead so delta
 # stays strictly positive
@@ -120,11 +120,12 @@ def empirical_exceedance(
 
     Decision instants are drawn uniformly over one full period of valid end
     slots, deterministically per seed.  Only the window's length is taken
-    from `window`; its end slot is resampled.  A NaN `epsilon` raises
-    ValueError; flows whose `aggregate_rate_series` would not be exact
-    raise ByteOverflow, and flows whose rates exceed the largest double
-    RateOverflow.
+    from `window`; its end slot is resampled.  A NaN `epsilon`, and
+    `samples` under 1, a bool or not an integer, raise ValueError; flows
+    whose `aggregate_rate_series` would not be exact raise ByteOverflow, and
+    flows whose rates exceed the largest double RateOverflow.
     """
+    samples = _int_field(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if math.isnan(epsilon):

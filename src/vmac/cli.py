@@ -15,6 +15,7 @@ variable supplies the master seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -97,6 +98,14 @@ def _duration(args, least: int) -> int:
     return args.duration
 
 
+def _fps(args):
+    """--fps, which must be positive and finite where given, even for trace
+    files whose own directive it would not override."""
+    if args.fps is not None and not (args.fps > 0 and math.isfinite(args.fps)):
+        raise ValueError(f"--fps must be a positive real, got {args.fps}")
+    return args.fps
+
+
 def _master_seed(args) -> int:
     """--seed, else $VMAC_SEED, else 0; it must be >= 0."""
     if args.seed is not None:
@@ -112,7 +121,7 @@ def _master_seed(args) -> int:
 # subcommand adds the ones it reads.
 _FLAGS = {
     "--traces-dir": dict(required=True, help="directory of *.txt trace files"),
-    "--fps": dict(type=float, help="fps for trace files without an fps directive"),
+    "--fps": dict(type=float, help="fps > 0 for trace files without an fps directive"),
     "--flows": dict(required=True, help="flow count >= 1, or a list 'a,b' or "
                     "range 'a:b:step' where the command takes several"),
     "--window": dict(type=int, default=5, help="measurement window, slots"),
@@ -137,7 +146,7 @@ def _config(args, **fields) -> experiments.ExperimentConfig:
         fields.update(runs_per_rep=args.runs, reps=args.reps,
                       confidence=args.confidence, workers=args.workers)
     experiments.check_settings(**fields)
-    library = _load_library(args.traces_dir, args.fps)
+    library = _load_library(args.traces_dir, _fps(args))
     return experiments.ExperimentConfig(
         trace_library=library, master_seed=seed, **fields
     )
@@ -149,7 +158,7 @@ def _write_rows(args, header, rows) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    trace = parse_trace_file(args.path, args.fps)
+    trace = parse_trace_file(args.path, _fps(args))
     lo, mean, peak = trace.summary_rates()
     line = (
         f"frames={len(trace)} fps={trace.fps:g} "

@@ -39,6 +39,8 @@ from .trace_model import (
     ContentClass,
     FlowInstance,
     VideoTrace,
+    _int_field,
+    _int_fields,
 )
 
 _BATCH_FLOWS = 1 << 16  # flow draws per Monte Carlo kernel batch
@@ -69,6 +71,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # Python ints, so that equal-looking seeds hash to one stream
+        _int_fields(self, "window_slots", "runs_per_rep", "reps", "master_seed",
+                    "workers")
+        if any(type(n) is not int for n in self.flow_counts):
+            object.__setattr__(self, "flow_counts", tuple(
+                _int_field(n, "flow count") for n in self.flow_counts))
         if not self.trace_library:
             raise EmptyLibrary("experiment needs at least one trace")
         fps = self.trace_library[0].fps
@@ -94,10 +102,13 @@ def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
                    confidence=0.5, workers=1) -> None:
     """The `ExperimentConfig` checks that read no trace, so that a caller can
     refuse a bad setting before it loads any; a setting not given passes.
-    Raises ValueError."""
+    Raises ValueError, also for a flow count that is a bool or not an integer."""
     if flow_counts is not None:
         if not flow_counts:
             raise ValueError("flow counts must not be empty")
+        for n in flow_counts:
+            if type(n) is not int:
+                _int_field(n, "flow count")
         if min(flow_counts) < 1:
             raise ValueError("flow counts must be >= 1")
     for name, value in (("window_slots", window_slots),
@@ -269,8 +280,10 @@ def run_rate_timeseries(
 ) -> TimeSeriesResult:
     """One fixed random flow set, per-slot instantaneous aggregate and
     sliding-window average for every slot where the window fits.  Raises
-    ByteOverflow or RateOverflow where `aggregate_rate_series` does."""
+    ByteOverflow or RateOverflow where `aggregate_rate_series` does, and
+    ValueError for a flow count or duration that is a bool or not an integer."""
     check_settings(flow_counts=(flow_count,))
+    duration_slots = _int_field(duration_slots, "duration_slots")
     inst, avg = _rate_series(cfg, flow_count, duration_slots, seed)
     return TimeSeriesResult(
         slots=tuple(range(cfg.window_slots - 1, duration_slots)),
@@ -287,8 +300,9 @@ def run_burstiness_table(
     """Peak-to-mean ratio and coefficient of variation of both rate series,
     one fixed scenario per flow count, each summarized from its float64
     arrays.  Raises ByteOverflow or RateOverflow where a scenario's
-    `aggregate_rate_series` does."""
+    `aggregate_rate_series` does, and ValueError as `run_rate_timeseries`."""
     check_settings(flow_counts=flow_counts)
+    duration_slots = _int_field(duration_slots, "duration_slots")
     # a one-window duration leaves each series one value, too few for the
     # CoV; a silent library's series fail first, on their zero mean
     if duration_slots == cfg.window_slots and any(t._peak for t in cfg.trace_library):

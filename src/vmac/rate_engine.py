@@ -14,7 +14,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ByteOverflow, MixedFps, RateOverflow, WindowOutOfRange
-from .trace_model import BITS_PER_BYTE, INT64_MAX, K, FlowInstance, _int_field
+from .trace_model import (BITS_PER_BYTE, INT64_MAX, K, FlowInstance, _int_field,
+                          _int_fields)
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,7 @@ class MeasurementWindow:
     length_slots: int
 
     def __post_init__(self):
-        if type(self.end_slot) is not int or type(self.length_slots) is not int:
-            for name in ("end_slot", "length_slots"):
-                object.__setattr__(self, name, _int_field(getattr(self, name), name))
+        _int_fields(self, "end_slot", "length_slots")
         if self.length_slots < 1:
             raise ValueError(f"length_slots must be >= 1, got {self.length_slots}")
         if self.end_slot < self.length_slots - 1:
@@ -134,7 +133,10 @@ def aggregate_rate_series(
     double holds each integer exactly: beyond it the series could differ
     from `rate_sample`.  Raises RateOverflow when a rate exceeds the largest
     double, and ValueError, before any allocation, for a window under one
-    slot or a negative slot count."""
+    slot, a negative slot count, or either of them a bool or not an integer."""
+    if type(window_slots) is not int or type(n_slots) is not int:
+        window_slots = _int_field(window_slots, "window_slots")
+        n_slots = _int_field(n_slots, "n_slots")
     if window_slots < 1 or n_slots < 0:
         raise ValueError(f"need window_slots >= 1 and n_slots >= 0, "
                          f"got {window_slots} and {n_slots}")

@@ -3,7 +3,8 @@
 Peak-to-mean ratio and coefficient of variation are the two burstiness
 indices; mean_and_ci produces Student-t confidence intervals over a small
 number of experiment repetitions (sample standard deviation, divisor n-1).
-Each takes a sequence of floats or a float64 array, with the same results.
+Each reads a sequence of numbers or a float64 array as float64 values, with
+the same results, through one mean, `_mean_and_std`, and one peak, `_peak`.
 
 `summarize` forms its squared deviations in numpy with
 ``np.float_power(d, 2.0)``: its float64 loop calls libm ``pow(d, 2.0)``, as
@@ -125,11 +126,12 @@ class MeanWithCI:
     reps: int
 
 
-def _mean_and_std(series: Sequence[float]) -> tuple[np.ndarray, float, float]:
-    """A series as float64 values, their mean and sample standard deviation.
-    Raises SeriesOverflow when its sum, a deviation from the mean or a squared
-    deviation leaves the double range, which `math.fsum` signals with
-    OverflowError and numpy, under ``over="raise"``, with FloatingPointError."""
+def _mean_and_std(series: Sequence[float],
+                  with_std=True) -> tuple[np.ndarray, float, float]:
+    """A series as float64 values, their mean and sample standard deviation
+    (0.0 if not `with_std`).  Raises SeriesOverflow when its sum, a deviation
+    or a squared deviation leaves the double range, which `math.fsum` signals
+    with OverflowError and numpy, under ``over="raise"``, FloatingPointError."""
     n = len(series)
     if not n:
         raise TooShort("cannot summarize an empty series")
@@ -138,7 +140,7 @@ def _mean_and_std(series: Sequence[float]) -> tuple[np.ndarray, float, float]:
         # 2-D input keeps fsum's TypeError
         mean = (_fsum(values) if values.ndim == 1 else math.fsum(values.tolist())) / n
         std = 0.0
-        if n > 1:
+        if with_std and n > 1:
             # float_power is libm pow(d, 2.0), as d ** 2 is; np.power and
             # np.square round some squares differently (see the module note)
             with np.errstate(all="ignore", over="raise"):
@@ -149,12 +151,16 @@ def _mean_and_std(series: Sequence[float]) -> tuple[np.ndarray, float, float]:
     return values, mean, std
 
 
+def _peak(values: np.ndarray, mean: float) -> float:
+    """Python's max of `values`: numpy's unless `mean` is not finite or the max ±0.0."""
+    peak = float(values.max()) if math.isfinite(mean) else 0.0
+    return peak or max(values.data)
+
+
 def summarize(series: Sequence[float]) -> SeriesSummary:
     """Mean, sample standard deviation, peak and count of a series."""
     values, mean, std = _mean_and_std(series)
-    # numpy's max equals Python's on finite values (finite mean) unless ±0.0
-    peak = float(values.max()) if math.isfinite(mean) else 0.0
-    return SeriesSummary(mean, std, peak or max(values.data), len(series))
+    return SeriesSummary(mean, std, _peak(values, mean), len(series))
 
 
 def _over_mean(value: float, mean: float, metric: str) -> float:
@@ -179,16 +185,9 @@ def _check_confidence(confidence: float) -> None:
 def peak_to_mean(series: Sequence[float]) -> float:
     """max/mean of a series; >= 1 for non-negative series, 1 for constant.
 
-    The same mean and peak as `summarize`, without its variance pass, and
-    the same SeriesOverflow where the sum leaves the double range."""
-    series = series.tolist() if isinstance(series, np.ndarray) else series
-    if not len(series):
-        raise TooShort("cannot summarize an empty series")
-    try:
-        mean = math.fsum(series) / len(series)
-    except OverflowError as exc:
-        raise SeriesOverflow(len(series)) from exc
-    return _over_mean(max(series), mean, "peak-to-mean")
+    `summarize`'s mean and peak, without its variance pass or that pass's errors."""
+    values, mean, _ = _mean_and_std(series, with_std=False)
+    return _over_mean(_peak(values, mean), mean, "peak-to-mean")
 
 
 def coefficient_of_variation(series: Sequence[float]) -> float:

@@ -95,6 +95,15 @@ def _int_field(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
+def _int_fields(record, *names: str) -> None:
+    """Store each field `names` of the frozen dataclass `record` that is not
+    exactly an int as `_int_field` gives it, with its ValueError."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not int:
+            object.__setattr__(record, name, _int_field(value, name))
+
+
 @dataclass(frozen=True, eq=False)
 class VideoTrace:
     """Immutable parsed trace, held as columns; shareable across threads.
@@ -264,8 +273,7 @@ class FlowInstance:
     flow_id: int = 0
 
     def __post_init__(self):
-        for name in ("start_offset", "flow_id"):
-            object.__setattr__(self, name, _int_field(getattr(self, name), name))
+        _int_fields(self, "start_offset", "flow_id")
         if not 0 <= self.start_offset < len(self.trace):
             raise ValueError(
                 f"start_offset {self.start_offset} outside trace of length "

@@ -225,6 +225,13 @@ def test_exceedance_refuses_no_flows():
         empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("samples", [100.0, True, np.float64(100.0)])
+def test_exceedance_refuses_samples_that_are_not_an_integer(samples):
+    flows = [FlowInstance(trace=make_trace([1000] * 5), start_offset=0)]
+    with pytest.raises(ValueError, match="^samples must be an integer, got "):
+        empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, samples, seed=0)
+
+
 def test_exceedance_refuses_nan_epsilon_and_keeps_infinities():
     flows = bounded_flows(3, 2.0, seed=4, length=50)
     window = MeasurementWindow(4, 5)

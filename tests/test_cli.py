@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmac import cli
 from vmac.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -145,6 +146,38 @@ def test_ingest_bad_fps_flag_is_usage_error(tmp_path, fps):
     p = tmp_path / "t.txt"
     p.write_text("1000\n2000\n")
     assert main(["ingest", str(p), "--fps", fps]) == EXIT_USAGE
+
+
+def no_parse(*args, **kwargs):
+    raise AssertionError("read a trace before checking --fps")
+
+
+@pytest.mark.parametrize("fps", ["-1", "0", "inf", "nan"])
+@pytest.mark.parametrize("command", [
+    ["ingest"], ["sweep-flows", "--flows", "2"],
+    ["timeseries", "--flows", "2", "--duration", "50"],
+    ["burstiness", "--flows", "2"],
+    ["sweep-window", "--flows", "2", "--windows", "2,5"],
+    ["content", "--flows", "2", "--classes", "news"],
+    ["admit", "--flows", "2", "--policy", "avg", "--capacity", "100",
+     "--quality", "sd"],
+], ids=lambda command: command[0])
+def test_bad_fps_flag_is_usage_error_before_any_trace_is_read(
+        cbr_dir, tmp_path, capsys, monkeypatch, command, fps):
+    # each file here has its own fps directive, which the flag does not
+    # override: the flag used to be ignored, and the command exit 0
+    out = tmp_path / "x.csv"
+    if command[0] == "ingest":
+        argv = [*command, str(cbr_dir / "cbr-0.txt")]
+    else:
+        argv = [*command, "--traces-dir", str(cbr_dir)]
+        if command[0] != "admit":
+            argv += ["--out", str(out)]
+    monkeypatch.setattr(cli, "parse_trace_file", no_parse)
+    assert main([*argv, "--fps", fps]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: --fps must be a positive real, got {float(fps)}\n"
+    assert not out.exists()
 
 
 def test_ingest_frame_size_beyond_int64_is_data_error(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Monte Carlo harness: seeding, determinism and degenerate baselines."""
 
+import re
+
+import numpy as np
 import pytest
 
 from vmac import experiments
@@ -86,6 +89,43 @@ def test_bad_scalar_config_rejected():
         ExperimentConfig(trace_library=lib, confidence=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(trace_library=lib, workers=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window_slots", True), ("window_slots", 5.0), ("runs_per_rep", 20.0),
+    ("reps", 2.0), ("master_seed", 1.0), ("master_seed", True), ("workers", 1.0),
+    ("flow_counts", (True,)), ("flow_counts", (5.0,)), ("flow_counts", (2, 5.0)),
+])
+def test_config_settings_must_be_integers(cbr_library, field, value):
+    # the seed is hashed as text, so 1.0 and True used to run other streams
+    # than 1; the floats failed inside numpy, mid-sweep
+    name, bad = ("flow count", value[-1]) if field == "flow_counts" else (field, value)
+    message = f"{name} must be an integer, got {type(bad).__name__} {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(trace_library=cbr_library, **{field: value})
+
+
+def test_config_refuses_a_non_integer_setting_before_its_other_checks():
+    with pytest.raises(ValueError, match="^window_slots must be an integer"):
+        ExperimentConfig(trace_library=(), window_slots=5.0)
+
+
+def test_config_stores_python_ints(cbr_library):
+    cfg = ExperimentConfig(
+        trace_library=cbr_library, flow_counts=(np.int64(2), 5),
+        window_slots=np.int32(5), runs_per_rep=np.int64(10), reps=np.int16(2),
+        master_seed=np.uint64(1), workers=np.int8(1))
+    assert cfg == ExperimentConfig(trace_library=cbr_library, flow_counts=(2, 5),
+                                   runs_per_rep=10, reps=2, master_seed=1)
+    fields = (cfg.window_slots, cfg.runs_per_rep, cfg.reps, cfg.master_seed,
+              cfg.workers, *cfg.flow_counts)
+    assert {type(value) for value in fields} == {int}
+
+
+def test_check_settings_refuses_flow_counts_that_are_not_integers():
+    for counts in ((2, 5.0), (True,), (np.float64(3.0),)):
+        with pytest.raises(ValueError, match="^flow count must be an integer, got "):
+            experiments.check_settings(flow_counts=counts)
 
 
 def test_single_rep_rejected_at_build_time():
@@ -307,6 +347,31 @@ def test_empty_flow_counts_rejected_before_any_draw(cbr_library, monkeypatch, ca
     monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
     monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
     with pytest.raises(ValueError, match="flow counts must not be empty"):
+        call(cfg)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg: run_rate_timeseries(cfg, True, 20, seed=1),
+     "flow count must be an integer, got bool True"),
+    (lambda cfg: run_rate_timeseries(cfg, 5.0, 20, seed=1),
+     "flow count must be an integer, got float 5.0"),
+    (lambda cfg: run_rate_timeseries(cfg, 5, 20.0, seed=1),
+     "duration_slots must be an integer, got float 20.0"),
+    (lambda cfg: run_burstiness_table(cfg, (5,), 300.0),
+     "duration_slots must be an integer, got float 300.0"),
+    (lambda cfg: run_burstiness_table(cfg, (5,), 5.0),
+     "duration_slots must be an integer, got float 5.0"),
+    (lambda cfg: run_burstiness_table(cfg, (5, True), 300),
+     "flow count must be an integer, got bool True"),
+], ids=["timeseries-bool-flows", "timeseries-float-flows", "timeseries-float-duration",
+        "burstiness-float-duration", "burstiness-one-window-float-duration",
+        "burstiness-bool-flows"])
+def test_series_arguments_that_are_not_integers_refused_before_any_draw(
+        cbr_library, monkeypatch, call, message):
+    # a bool flow count used to draw one flow; a float failed inside numpy
+    cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
+    monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(cfg)
 
 

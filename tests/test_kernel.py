@@ -312,6 +312,21 @@ def test_rate_series_refuses_a_bad_window_or_slot_count(w, n_slots):
             aggregate_rate_series(flow_set, w, n_slots)
 
 
+@pytest.mark.parametrize("w, n_slots, message", [
+    (True, 10, "window_slots must be an integer, got bool True"),
+    (5.0, 10, "window_slots must be an integer, got float 5.0"),
+    (5, 10.0, "n_slots must be an integer, got float 10.0"),
+    (1, True, "n_slots must be an integer, got bool True"),
+], ids=["bool-window", "float-window", "float-slots", "bool-slots"])
+def test_rate_series_refuses_a_window_or_slot_count_that_is_not_an_integer(
+        w, n_slots, message):
+    # a bool window used to give 1-slot rates, a float one a numpy TypeError
+    flows = [FlowInstance(trace=make_trace([1, 2, 3, 4]), start_offset=0)]
+    for flow_set in (flows, []):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            aggregate_rate_series(flow_set, w, n_slots)
+
+
 def test_rate_series_of_no_slots_is_empty():
     flows = [FlowInstance(trace=make_trace([1, 2, 3, 4]), start_offset=0)]
     inst, avg = aggregate_rate_series(flows, 1, 0)

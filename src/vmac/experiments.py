@@ -74,9 +74,11 @@ class ExperimentConfig:
         # Python ints, so that equal-looking seeds hash to one stream
         _int_fields(self, "window_slots", "runs_per_rep", "reps", "master_seed",
                     "workers")
-        if any(type(n) is not int for n in self.flow_counts):
-            object.__setattr__(self, "flow_counts", tuple(
-                _int_field(n, "flow count") for n in self.flow_counts))
+        for n in self.flow_counts:
+            if type(n) is not int:
+                object.__setattr__(self, "flow_counts", tuple(
+                    _int_field(n, "flow count") for n in self.flow_counts))
+                break
         if not self.trace_library:
             raise EmptyLibrary("experiment needs at least one trace")
         fps = self.trace_library[0].fps

@@ -80,6 +80,14 @@ def test_request_validation():
         LinkConfig(link_id="l", capacity=0.0)
 
 
+@pytest.mark.parametrize("bad", [0, 0.0, -0.0, -1.0, float("inf"), float("nan")])
+def test_rates_outside_the_positive_reals_are_refused_by_name(bad):
+    with pytest.raises(ValueError, match="^capacity must be "):
+        LinkConfig(link_id="l", capacity=bad)
+    with pytest.raises(ValueError, match="^requested rate must be "):
+        AdmissionRequest(bad)
+
+
 positive = st.floats(0.01, 1000.0)
 
 

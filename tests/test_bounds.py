@@ -71,6 +71,18 @@ def test_query_validation():
         HoeffdingQuery(n=0, epsilon=1.0, ranges=())
 
 
+@pytest.mark.parametrize("bad", [0, 0.0, -1.0, math.inf, math.nan])
+def test_query_refuses_an_epsilon_outside_the_positive_reals(bad):
+    with pytest.raises(ValueError, match="^epsilon must be "):
+        HoeffdingQuery(n=1, epsilon=bad, ranges=(FlowRateBounds(0.0, 1.0),))
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_query_refuses_a_flow_count_below_one(bad):
+    with pytest.raises(ValueError, match=f"^flow count must be >= 1, got {bad}$"):
+        HoeffdingQuery(n=bad, epsilon=1.0, ranges=())
+
+
 def test_underflow_keeps_delta_positive():
     result = hoeffding_delta(uniform_query(1000, 100.0, 0.001))
     assert result.underflow

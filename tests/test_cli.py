@@ -303,6 +303,30 @@ def test_flows_and_seed_checked_before_traces_load(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["timeseries", "sweep-window", "admit"])
+def test_one_flow_count_below_one_names_the_flag(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [*TRACE_COMMANDS[command], "--traces-dir", "void", "--flows", "0"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --flows must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+@pytest.mark.parametrize("flag_seed, env_seed", [("-1", None), (None, "-1")],
+                         ids=["flag", "env"])
+def test_negative_seed_message(command, flag_seed, env_seed, tmp_path, capsys,
+                               monkeypatch):
+    monkeypatch.delenv("VMAC_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("VMAC_SEED", env_seed)
+    monkeypatch.chdir(tmp_path)
+    argv = [*TRACE_COMMANDS[command], "--traces-dir", "void", "--flows", "2"]
+    if flag_seed is not None:
+        argv += ["--seed", flag_seed]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 # the last: (1 + 0.9999999999999999) / 2 rounds to 1, whose t quantile is
 # infinite
 SWEEP_FLAG_ERRORS = [["--runs", "0"], ["--reps", "1"], ["--confidence", "1.5"],

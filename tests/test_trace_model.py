@@ -616,6 +616,12 @@ def test_invalid_columns_rejected(columns):
         VideoTrace(id="t", fps=30.0, **columns)
 
 
+@pytest.mark.parametrize("fps", [0, 0.0, -0.0, -30.0, math.inf, -math.inf, math.nan])
+def test_fps_outside_the_positive_reals_refused(fps):
+    with pytest.raises(ValueError, match=f"^fps must be a positive real, got {fps}$"):
+        VideoTrace(id="t", sizes=[1, 2], fps=fps)
+
+
 @pytest.mark.parametrize("columns", [
     dict(sizes=[1.5, 2.7]),
     dict(sizes=[-0.5, 3]),

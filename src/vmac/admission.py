@@ -8,12 +8,11 @@ requested rate is either explicit or one of the video quality classes.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .rate_engine import RateSample, new_record
-from .trace_model import MBPS
+from .trace_model import MBPS, _positive_real
 
 
 class QualityClass(enum.Enum):
@@ -58,10 +57,7 @@ class LinkConfig:
     capacity: float  # bits/s
 
     def __post_init__(self):
-        if not 0 < self.capacity < math.inf:
-            raise ValueError(
-                f"capacity must be positive and finite, got {self.capacity}"
-            )
+        _positive_real(self.capacity, "capacity")
 
 
 @dataclass(frozen=True)
@@ -69,11 +65,7 @@ class AdmissionRequest:
     requested_rate: float  # bits/s
 
     def __post_init__(self):
-        if not 0 < self.requested_rate < math.inf:
-            raise ValueError(
-                f"requested rate must be positive and finite, got "
-                f"{self.requested_rate}"
-            )
+        _positive_real(self.requested_rate, "requested rate")
 
     @classmethod
     def for_class(cls, quality: QualityClass) -> "AdmissionRequest":

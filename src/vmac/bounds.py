@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateRanges, InsufficientHistory
 from .rate_engine import MeasurementWindow, aggregate_rate_series
-from .trace_model import FlowInstance, FlowRateBounds, _int_field
+from .trace_model import FlowInstance, FlowRateBounds, _int_field, _positive_real
 
 # exp() underflows to 0 below this exponent; we clamp instead so delta
 # stays strictly positive
@@ -40,10 +40,8 @@ class HoeffdingQuery:
     ranges: tuple[FlowRateBounds, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"flow count must be >= 1, got {self.n}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        object.__setattr__(self, "n", _int_field(self.n, "flow count", least=1))
+        _positive_real(self.epsilon, "epsilon")
         if len(self.ranges) != self.n:
             raise ValueError(
                 f"expected {self.n} ranges, got {len(self.ranges)}"
@@ -120,14 +118,13 @@ def empirical_exceedance(
 
     Decision instants are drawn uniformly over one full period of valid end
     slots, deterministically per seed.  Only the window's length is taken
-    from `window`; its end slot is resampled.  A NaN `epsilon`, and
-    `samples` under 1, a bool or not an integer, raise ValueError; flows
-    whose `aggregate_rate_series` would not be exact raise ByteOverflow, and
-    flows whose rates exceed the largest double RateOverflow.
+    from `window`; its end slot is resampled.  A NaN `epsilon`, `samples`
+    under 1 and `seed` under 0, a bool or not an integer, raise ValueError;
+    flows whose `aggregate_rate_series` would not be exact raise
+    ByteOverflow, and flows whose rates exceed the largest double RateOverflow.
     """
-    samples = _int_field(samples, "samples")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _int_field(samples, "samples", least=1)
+    seed = _int_field(seed, "seed", least=0)
     if math.isnan(epsilon):
         # every comparison with NaN is false, which would read as 0.0
         raise ValueError("epsilon must not be NaN")

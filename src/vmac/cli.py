@@ -9,13 +9,15 @@ for byte.
 Exit status: 0 success (or Admit), 1 Reject (admit command), 2 usage or
 configuration error (including a confidence interval that needs scipy
 when scipy cannot be imported), 3 data error.  The VMAC_SEED environment
-variable supplies the master seed when --seed is absent.
+variable supplies the master seed when --seed is absent.  Flags are checked
+by the library's own rules, before any trace loads: `check_settings` for
+the seed and sweep settings, and `trace_model`'s integer and positive-real
+rules for --flows and --fps.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,7 +26,8 @@ from pathlib import Path
 from . import admission, bounds, experiments
 from .errors import VmacError
 from .rate_engine import MeasurementWindow, rate_sample
-from .trace_model import MBPS, ContentClass, FlowRateBounds, parse_trace_file
+from .trace_model import (MBPS, ContentClass, FlowRateBounds, _int_field,
+                          _positive_real, parse_trace_file)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -67,10 +70,7 @@ def _load_library(traces_dir, fps_override=None):
 
 
 def _flow_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"--flows must be >= 1, got {n}")
-    return n
+    return _int_field(int(text), "--flows", least=1)
 
 
 def _parse_counts(text: str, flag: str) -> tuple[int, ...]:
@@ -99,22 +99,16 @@ def _duration(args, least: int) -> int:
 
 
 def _fps(args):
-    """--fps, which must be positive and finite where given, even for trace
+    """--fps, which must be a positive real where given, even for trace
     files whose own directive it would not override."""
-    if args.fps is not None and not (args.fps > 0 and math.isfinite(args.fps)):
-        raise ValueError(f"--fps must be a positive real, got {args.fps}")
-    return args.fps
+    return None if args.fps is None else _positive_real(args.fps, "--fps")
 
 
 def _master_seed(args) -> int:
-    """--seed, else $VMAC_SEED, else 0; it must be >= 0."""
+    """--seed, else $VMAC_SEED, else 0; `check_settings` refuses one below 0."""
     if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get("VMAC_SEED") or 0)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+        return args.seed
+    return int(os.environ.get("VMAC_SEED") or 0)
 
 
 # Flags that several subcommands read, each declared once here; a
@@ -145,7 +139,7 @@ def _config(args, **fields) -> experiments.ExperimentConfig:
     if "runs" in args:
         fields.update(runs_per_rep=args.runs, reps=args.reps,
                       confidence=args.confidence, workers=args.workers)
-    experiments.check_settings(**fields)
+    experiments.check_settings(master_seed=seed, **fields)
     library = _load_library(args.traces_dir, _fps(args))
     return experiments.ExperimentConfig(
         trace_library=library, master_seed=seed, **fields

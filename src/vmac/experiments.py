@@ -74,11 +74,6 @@ class ExperimentConfig:
         # Python ints, so that equal-looking seeds hash to one stream
         _int_fields(self, "window_slots", "runs_per_rep", "reps", "master_seed",
                     "workers")
-        for n in self.flow_counts:
-            if type(n) is not int:
-                object.__setattr__(self, "flow_counts", tuple(
-                    _int_field(n, "flow count") for n in self.flow_counts))
-                break
         if not self.trace_library:
             raise EmptyLibrary("experiment needs at least one trace")
         fps = self.trace_library[0].fps
@@ -87,11 +82,12 @@ class ExperimentConfig:
                 raise MixedFps(
                     f"library mixes frame rates {fps} and {t.fps}"
                 )
-        check_settings(
+        object.__setattr__(self, "flow_counts", check_settings(
             flow_counts=self.flow_counts, window_slots=self.window_slots,
             runs_per_rep=self.runs_per_rep, reps=self.reps,
             confidence=self.confidence, workers=self.workers,
-        )
+            master_seed=self.master_seed,
+        ))
         shortest = min(len(t) for t in self.trace_library)
         if shortest < self.window_slots:
             raise InsufficientHistory(
@@ -101,25 +97,25 @@ class ExperimentConfig:
 
 
 def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
-                   confidence=0.5, workers=1) -> None:
+                   confidence=0.5, workers=1, master_seed=0):
     """The `ExperimentConfig` checks that read no trace, so that a caller can
     refuse a bad setting before it loads any; a setting not given passes.
-    Raises ValueError, also for a flow count that is a bool or not an integer."""
+    Returns the flow counts as a tuple of Python ints.  Raises ValueError,
+    also for a seed or count that is a bool or not an integer."""
+    _int_field(master_seed, "seed", least=0)
     if flow_counts is not None:
         if not flow_counts:
             raise ValueError("flow counts must not be empty")
-        for n in flow_counts:
-            if type(n) is not int:
-                _int_field(n, "flow count")
+        flow_counts = tuple(_int_field(n, "flow count") for n in flow_counts)
         if min(flow_counts) < 1:
             raise ValueError("flow counts must be >= 1")
     for name, value in (("window_slots", window_slots),
                         ("runs_per_rep", runs_per_rep), ("workers", workers)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        _int_field(value, name, least=1)
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a confidence interval, got {reps}")
     _check_confidence(confidence)
+    return flow_counts
 
 
 @dataclass(frozen=True)
@@ -283,8 +279,8 @@ def run_rate_timeseries(
     """One fixed random flow set, per-slot instantaneous aggregate and
     sliding-window average for every slot where the window fits.  Raises
     ByteOverflow or RateOverflow where `aggregate_rate_series` does, and
-    ValueError for a flow count or duration that is a bool or not an integer."""
-    check_settings(flow_counts=(flow_count,))
+    ValueError for a flow count, seed or duration as `check_settings` does."""
+    (flow_count,) = check_settings(flow_counts=(flow_count,), master_seed=seed)
     duration_slots = _int_field(duration_slots, "duration_slots")
     inst, avg = _rate_series(cfg, flow_count, duration_slots, seed)
     return TimeSeriesResult(
@@ -303,7 +299,7 @@ def run_burstiness_table(
     one fixed scenario per flow count, each summarized from its float64
     arrays.  Raises ByteOverflow or RateOverflow where a scenario's
     `aggregate_rate_series` does, and ValueError as `run_rate_timeseries`."""
-    check_settings(flow_counts=flow_counts)
+    flow_counts = check_settings(flow_counts=flow_counts)
     duration_slots = _int_field(duration_slots, "duration_slots")
     # a one-window duration leaves each series one value, too few for the
     # CoV; a silent library's series fail first, on their zero mean
@@ -338,8 +334,7 @@ def run_content_comparison(
 ) -> tuple[tuple[ContentClass, int, MeanWithCI], ...]:
     """Probability sweep restricted to each content class in turn.  A class
     with no trace in the library raises ClassMissing before any scenario
-    runs."""
-    check_settings(flow_counts=flow_counts)
+    runs, as does any setting its config refuses."""
     if not classes:
         raise ValueError("content classes must not be empty")
     cfgs = []
@@ -347,7 +342,7 @@ def run_content_comparison(
         sub = tuple(t for t in cfg.trace_library if t.content_class is content_class)
         if not sub:
             raise ClassMissing(content_class)
-        cfgs.append(replace(cfg, trace_library=sub, flow_counts=tuple(flow_counts)))
+        cfgs.append(replace(cfg, trace_library=sub, flow_counts=flow_counts))
     return tuple((content_class, n, ci)
                  for k, (content_class, c) in enumerate(zip(classes, cfgs))
                  for n, ci in _sweep(c, 3, k * len(flow_counts)))

@@ -134,9 +134,8 @@ def aggregate_rate_series(
     from `rate_sample`.  Raises RateOverflow when a rate exceeds the largest
     double, and ValueError, before any allocation, for a window under one
     slot, a negative slot count, or either of them a bool or not an integer."""
-    if type(window_slots) is not int or type(n_slots) is not int:
-        window_slots = _int_field(window_slots, "window_slots")
-        n_slots = _int_field(n_slots, "n_slots")
+    window_slots = _int_field(window_slots, "window_slots")
+    n_slots = _int_field(n_slots, "n_slots")
     if window_slots < 1 or n_slots < 0:
         raise ValueError(f"need window_slots >= 1 and n_slots >= 0, "
                          f"got {window_slots} and {n_slots}")

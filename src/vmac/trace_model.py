@@ -21,7 +21,9 @@ non-blank character is ``#`` is a comment; the optional ``# fps=`` and
 without spaces around the ``=``.
 
 A parsed trace is held as columns: `VideoTrace.sizes`, `.frame_types` and
-`.indices`.
+`.indices`.  Every vmac setting is checked by one of two rules, each written
+once here: `_int_field` (an integer, at least a given value) and
+`_positive_real` (a rate or frame rate).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
+from numbers import Real
 from operator import add, index, lshift
 from pathlib import Path
 from typing import Optional
@@ -84,15 +87,29 @@ def _int64_column(values, trace_id, name) -> np.ndarray:
     return column.astype(np.int64)
 
 
-def _int_field(value, name: str) -> int:
+def _int_field(value, name: str, least=None) -> int:
     """`value` as a Python int.  Raises ValueError naming the field for a
-    bool and for anything `operator.index` refuses, such as a float."""
-    if type(value) not in _BOOLS:
+    bool, for anything `operator.index` refuses, such as a float, and for a
+    value below `least` where that is given."""
+    if type(value) is not int:
         try:
-            return index(value)
+            if type(value) in _BOOLS:
+                raise TypeError(name)
+            value = index(value)
         except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+            raise ValueError(f"{name} must be an integer, got "
+                             f"{type(value).__name__} {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _positive_real(value, name: str):
+    """`value` if it is a real number above 0 and below inf.  Raises ValueError
+    naming the field for a bool, a non-number, zero, a negative, inf or NaN."""
+    if isinstance(value, Real) and type(value) is not bool and 0 < value < math.inf:
+        return value
+    raise ValueError(f"{name} must be a positive real, got {value}")
 
 
 def _int_fields(record, *names: str) -> None:
@@ -145,8 +162,7 @@ class VideoTrace:
         n = len(sizes)
         if n == 0:
             raise EmptyTrace(self.id)
-        if not (self.fps > 0 and math.isfinite(self.fps)):
-            raise ValueError(f"fps must be a positive real, got {self.fps}")
+        _positive_real(self.fps, "fps")
         frame_types = "?" * n if self.frame_types is None else "".join(self.frame_types)
         if len(frame_types) != n or not set(frame_types).issubset(_TYPE_CHARS):
             raise ValueError(
@@ -302,16 +318,6 @@ _CLASS_ALIASES = {c.value: c for c in ContentClass}
 _TYPE_OF_TOKEN = {"I": "I", "P": "P", "B": "B"}
 
 
-def _fps_directive(value: str) -> Optional[float]:
-    """The frame rate an ``fps=`` directive's value sets, or None if it is
-    not a positive finite number."""
-    try:
-        fps = float(value)
-    except ValueError:
-        return None
-    return fps if fps > 0 and math.isfinite(fps) else None
-
-
 def _text_lines(text: str) -> list[str]:
     """The lines of `text` as text-mode reading splits them: CR LF and a lone
     CR end a line as LF does."""
@@ -351,9 +357,10 @@ def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
             key, eq, value = line.strip()[1:].partition("=")
             key = key.strip() if eq else None
             if key == "fps":
-                fps = _fps_directive(value)
-                if fps is None:
-                    raise MalformedLine(path, line_no, line.strip())
+                try:
+                    fps = _positive_real(float(value), "fps")
+                except ValueError:
+                    raise MalformedLine(path, line_no, line.strip()) from None
             elif key == "class":
                 name = value.strip().lower()
                 content_class = _CLASS_ALIASES.get(name, ContentClass.UNKNOWN)

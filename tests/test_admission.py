@@ -88,6 +88,15 @@ def test_rates_outside_the_positive_reals_are_refused_by_name(bad):
         AdmissionRequest(bad)
 
 
+@pytest.mark.parametrize("bad", [True, "100", None, 1j])
+def test_rates_that_are_not_reals_are_refused(bad):
+    # True built a 1 bit/s link or request; a string raised TypeError
+    with pytest.raises(ValueError, match="^capacity must be a positive real, got "):
+        LinkConfig(link_id="l", capacity=bad)
+    with pytest.raises(ValueError, match="^requested rate must be a positive real, got "):
+        AdmissionRequest(bad)
+
+
 positive = st.floats(0.01, 1000.0)
 
 

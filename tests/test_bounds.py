@@ -1,6 +1,7 @@
 """Concentration bound evaluation and its empirical verification."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from vmac import bounds
 from vmac.bounds import (
     BoundResult,
     HoeffdingQuery,
@@ -81,6 +83,29 @@ def test_query_refuses_an_epsilon_outside_the_positive_reals(bad):
 def test_query_refuses_a_flow_count_below_one(bad):
     with pytest.raises(ValueError, match=f"^flow count must be >= 1, got {bad}$"):
         HoeffdingQuery(n=bad, epsilon=1.0, ranges=())
+
+
+@pytest.mark.parametrize("epsilon", [True, "1", None, 1j])
+def test_query_refuses_an_epsilon_that_is_not_a_real(epsilon):
+    # True built a query with epsilon 1
+    with pytest.raises(ValueError, match=f"^epsilon must be a positive real, got "):
+        HoeffdingQuery(n=1, epsilon=epsilon, ranges=(FlowRateBounds(0.0, 1.0),))
+
+
+@pytest.mark.parametrize("n, message", [
+    (True, "flow count must be an integer, got bool True"),
+    (2.0, "flow count must be an integer, got float 2.0"),
+], ids=["bool", "float"])
+def test_query_refuses_a_flow_count_that_is_not_an_integer(n, message):
+    ranges = (FlowRateBounds(0.0, 1.0),) * 2
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HoeffdingQuery(n=n, epsilon=1.0, ranges=ranges[:int(n)])
+
+
+def test_query_stores_its_flow_count_as_a_python_int():
+    query = HoeffdingQuery(n=np.int64(2), epsilon=1.0,
+                           ranges=(FlowRateBounds(0.0, 1.0),) * 2)
+    assert type(query.n) is int and query == uniform_query(2, 1.0 / MBPS, 1.0 / MBPS)
 
 
 def test_underflow_keeps_delta_positive():
@@ -242,6 +267,19 @@ def test_exceedance_refuses_samples_that_are_not_an_integer(samples):
     flows = [FlowInstance(trace=make_trace([1000] * 5), start_offset=0)]
     with pytest.raises(ValueError, match="^samples must be an integer, got "):
         empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, samples, seed=0)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got bool True"),
+    (1.0, "seed must be an integer, got float 1.0"),
+    (-1, "seed must be >= 0, got -1"),
+], ids=["bool", "float", "negative"])
+def test_exceedance_refuses_a_bad_seed_before_any_draw(monkeypatch, seed, message):
+    # True ran the stream of seed 1; 1.0 and -1 failed inside numpy
+    flows = [FlowInstance(trace=make_trace([1000] * 5), start_offset=0)]
+    monkeypatch.setattr(bounds, "aggregate_rate_series", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, 10, seed=seed)
 
 
 def test_exceedance_refuses_nan_epsilon_and_keeps_infinities():

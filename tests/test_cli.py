@@ -704,6 +704,14 @@ def test_admit_missing_traces_dir(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_traces_dir_without_trace_files_is_data_error(tmp_path, capsys):
+    (tmp_path / "notes.md").write_text("# fps=30\n5\n")
+    code = main(["admit", "--policy", "avg", "--capacity", "10", "--quality", "sd",
+                 "--traces-dir", str(tmp_path), "--flows", "2"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: no *.txt trace files in {tmp_path}\n"
+
+
 # -- flag sets -----------------------------------------------------------------------------
 
 LIBRARY = {"--traces-dir", "--fps", "--flows", "--seed"}

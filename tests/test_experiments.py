@@ -128,6 +128,29 @@ def test_check_settings_refuses_flow_counts_that_are_not_integers():
             experiments.check_settings(flow_counts=counts)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got bool True"),
+    (1.0, "seed must be an integer, got float 1.0"),
+    (-1, "seed must be >= 0, got -1"),
+], ids=["bool", "float", "negative"])
+def test_time_series_refuses_a_bad_seed_before_any_draw(cbr_library, monkeypatch,
+                                                        seed, message):
+    # True ran the stream of seed 1; 1.0 and -1 failed inside numpy
+    cfg = ExperimentConfig(trace_library=cbr_library)
+    monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_rate_timeseries(cfg, 5, 20, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2 ** 64)])
+def test_config_refuses_a_negative_master_seed(cbr_library, seed):
+    # the CLI refused --seed -1, while the config built and swept
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+        ExperimentConfig(trace_library=cbr_library, master_seed=seed)
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+        experiments.check_settings(master_seed=seed)
+
+
 def test_single_rep_rejected_at_build_time():
     lib = (make_trace([10] * 20),)
     with pytest.raises(ValueError, match="reps"):

@@ -622,6 +622,19 @@ def test_fps_outside_the_positive_reals_refused(fps):
         VideoTrace(id="t", sizes=[1, 2], fps=fps)
 
 
+@pytest.mark.parametrize("fps", [True, np.True_, "30", None, 30j])
+def test_fps_that_is_not_a_real_refused(fps):
+    # True built a 1-fps trace; "30" and None raised TypeError
+    with pytest.raises(ValueError, match="^fps must be a positive real, got "):
+        VideoTrace(id="t", sizes=[1, 2], fps=fps)
+
+
+@pytest.mark.parametrize("fps", [30, 29.97, np.float64(25.0), np.int64(50)])
+def test_fps_of_any_real_type_is_kept_as_given(fps):
+    trace = VideoTrace(id="t", sizes=[1, 2], fps=fps)
+    assert trace.fps == fps and type(trace.fps) is type(fps)
+
+
 @pytest.mark.parametrize("columns", [
     dict(sizes=[1.5, 2.7]),
     dict(sizes=[-0.5, 3]),

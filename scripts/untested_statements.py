@@ -24,6 +24,8 @@ import threading
 import types
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vmac"
 
 
@@ -76,8 +78,6 @@ def statements(path: Path) -> list[tuple[int, set[int]]]:
 def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     """pytest's exit status for `args`, and the lines run per file of the
     package, by resolved path."""
-    import pytest
-
     ran: dict[str, set[int]] = {}
     watched: dict[str, bool] = {}  # co_filename -> is it in the package
 

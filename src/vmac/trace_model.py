@@ -109,7 +109,7 @@ def _positive_real(value, name: str):
     naming the field for a bool, a non-number, zero, a negative, inf or NaN."""
     if isinstance(value, Real) and type(value) is not bool and 0 < value < math.inf:
         return value
-    raise ValueError(f"{name} must be a positive real, got {value}")
+    raise ValueError(f"{name} must be a positive real, got {value!r}")
 
 
 def _int_fields(record, *names: str) -> None:

@@ -254,6 +254,13 @@ def test_exceedance_requires_history():
         empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, 10, seed=0)
 
 
+def test_exceedance_history_message():
+    flows = [FlowInstance(trace=make_trace([1000, 2000]), start_offset=0)]
+    with pytest.raises(InsufficientHistory,
+                       match="^shortest trace has 2 slots, window needs 5$"):
+        empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, 10, seed=0)
+
+
 def test_exceedance_refuses_no_flows():
     with pytest.raises(ValueError, match="needs at least one flow"):
         empirical_exceedance([], MeasurementWindow(4, 5), 1.0, 10, seed=0)

@@ -311,6 +311,18 @@ def test_one_flow_count_below_one_names_the_flag(command, tmp_path, capsys, monk
     assert capsys.readouterr().err == "error: --flows must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-window", "--flows", "2", "--windows", "0,5"],
+    ["sweep-flows", "--flows", "0,5"],
+], ids=["windows", "flows"])
+def test_count_list_below_one_names_the_flag(argv, tmp_path, capsys, monkeypatch):
+    # the traces directory does not exist: the list is refused before it loads
+    monkeypatch.chdir(tmp_path)
+    flag = argv[-2]
+    assert main([*argv, "--traces-dir", "void", "--out", "x.csv"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag} values must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
 @pytest.mark.parametrize("flag_seed, env_seed", [("-1", None), (None, "-1")],
                          ids=["flag", "env"])

@@ -157,6 +157,18 @@ def test_single_rep_rejected_at_build_time():
         ExperimentConfig(trace_library=lib, reps=1)
 
 
+def test_check_settings_refuses_one_rep():
+    with pytest.raises(ValueError, match="^reps must be >= 2"):
+        experiments.check_settings(reps=1)
+
+
+def test_mixed_fps_message_names_both_frame_rates():
+    lib = (make_trace([10] * 20, fps=30.0), make_trace([10] * 20, fps=25.0))
+    with pytest.raises(MixedFps) as caught:
+        ExperimentConfig(trace_library=lib)
+    assert "30.0" in str(caught.value) and "25.0" in str(caught.value)
+
+
 # -- degenerate CBR baseline -------------------------------------------------------
 
 def test_cbr_probability_exactly_zero(cbr_library):

@@ -97,6 +97,11 @@ def test_window_length_validation():
         MeasurementWindow(end_slot=0, length_slots=0)
 
 
+def test_window_length_below_one_message():
+    with pytest.raises(ValueError, match="^length_slots must be >= 1, got 0$"):
+        MeasurementWindow(5, 0)
+
+
 @pytest.mark.parametrize("end, w, field", [
     (4.0, 2, "end_slot"), (4, 2.0, "length_slots"), (4, True, "length_slots"),
     (True, 1, "end_slot"), (4, np.True_, "length_slots"),

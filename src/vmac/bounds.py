@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateRanges, InsufficientHistory
-from .rate_engine import MeasurementWindow, aggregate_rate_series
-from .trace_model import FlowInstance, FlowRateBounds, _int_field, _positive_real
+from .errors import DegenerateRanges
+from .rate_engine import MeasurementWindow, _check_history, aggregate_rate_series
+from .trace_model import FlowInstance, FlowRateBounds, _int_field, _positive_real, _rng
 
 # exp() underflows to 0 below this exponent; we clamp instead so delta
 # stays strictly positive
@@ -124,20 +124,15 @@ def empirical_exceedance(
     ByteOverflow, and flows whose rates exceed the largest double RateOverflow.
     """
     samples = _int_field(samples, "samples", least=1)
-    seed = _int_field(seed, "seed", least=0)
+    rng = _rng(seed)
     if math.isnan(epsilon):
         # every comparison with NaN is false, which would read as 0.0
         raise ValueError("epsilon must not be NaN")
     if not flows:
         raise ValueError("empirical exceedance needs at least one flow")
     w = window.length_slots
-    shortest = min(len(f.trace) for f in flows)
-    if shortest < w:
-        raise InsufficientHistory(
-            f"shortest trace has {shortest} slots, window needs {w}"
-        )
+    _check_history([f.trace for f in flows], w)
     horizon = max(len(f.trace) for f in flows)
-    rng = np.random.Generator(np.random.PCG64(seed))
 
     # rates at every valid end slot w-1 .. w-2+horizon; a pick indexes them
     inst, avg = aggregate_rate_series(flows, w, w - 1 + horizon)

@@ -85,8 +85,7 @@ def _parse_counts(text: str, flag: str) -> tuple[int, ...]:
         counts = tuple(range(start, stop + 1, step))
     else:
         counts = tuple(int(p) for p in text.split(","))
-    if min(counts) < 1:
-        raise ValueError(f"{flag} values must be >= 1, got {min(counts)}")
+    _int_field(min(counts), f"{flag} values", least=1)
     return counts
 
 

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ByteOverflow, ClassMissing, EmptyLibrary, InsufficientHistory, MixedFps
-from .rate_engine import aggregate_rate_series, fill_periodic
+from .errors import ByteOverflow, ClassMissing, EmptyLibrary, InsufficientHistory
+from .rate_engine import _check_history, _shared_fps, aggregate_rate_series, fill_periodic
 from .stats import (
     MeanWithCI,
     _check_confidence,
@@ -41,6 +41,7 @@ from .trace_model import (
     VideoTrace,
     _int_field,
     _int_fields,
+    _rng,
 )
 
 _BATCH_FLOWS = 1 << 16  # flow draws per Monte Carlo kernel batch
@@ -50,10 +51,12 @@ def derive_run_seed(master_seed: int, rep_index: int, run_index: int) -> int:
     """Collision-resistant 63-bit seed mixed from the three inputs.
 
     SHA-256 over the decimal-encoded triple, truncated; pure and identical
-    on every platform.
+    on every platform.  Raises ValueError for an argument that is a bool or
+    not an integer, or an index below 0; any integer master seed is hashed.
     """
-    if rep_index < 0 or run_index < 0:
-        raise ValueError("rep_index and run_index must be >= 0")
+    master_seed = _int_field(master_seed, "master_seed")
+    rep_index = _int_field(rep_index, "rep_index", least=0)
+    run_index = _int_field(run_index, "run_index", least=0)
     payload = f"vmac:{master_seed}:{rep_index}:{run_index}".encode()
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -76,24 +79,14 @@ class ExperimentConfig:
                     "workers")
         if not self.trace_library:
             raise EmptyLibrary("experiment needs at least one trace")
-        fps = self.trace_library[0].fps
-        for t in self.trace_library:
-            if t.fps != fps:
-                raise MixedFps(
-                    f"library mixes frame rates {fps} and {t.fps}"
-                )
+        _shared_fps(self.trace_library)
         object.__setattr__(self, "flow_counts", check_settings(
             flow_counts=self.flow_counts, window_slots=self.window_slots,
             runs_per_rep=self.runs_per_rep, reps=self.reps,
             confidence=self.confidence, workers=self.workers,
             master_seed=self.master_seed,
         ))
-        shortest = min(len(t) for t in self.trace_library)
-        if shortest < self.window_slots:
-            raise InsufficientHistory(
-                f"shortest trace has {shortest} slots, window needs "
-                f"{self.window_slots}"
-            )
+        _check_history(self.trace_library, self.window_slots)
 
 
 def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
@@ -107,13 +100,11 @@ def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
         if not flow_counts:
             raise ValueError("flow counts must not be empty")
         flow_counts = tuple(_int_field(n, "flow count") for n in flow_counts)
-        if min(flow_counts) < 1:
-            raise ValueError("flow counts must be >= 1")
-    for name, value in (("window_slots", window_slots),
-                        ("runs_per_rep", runs_per_rep), ("workers", workers)):
-        _int_field(value, name, least=1)
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2 for a confidence interval, got {reps}")
+        _int_field(min(flow_counts), "flow counts", least=1)
+    for name, value, least in (
+            ("window_slots", window_slots, 1), ("runs_per_rep", runs_per_rep, 1),
+            ("workers", workers, 1), ("reps", reps, 2)):  # two for a CI
+        _int_field(value, name, least)
     _check_confidence(confidence)
     return flow_counts
 
@@ -161,7 +152,7 @@ def draw_flow_set(
     `cfg`'s library: its `n` flows and the end slot of its decision window,
     the window's first slot plus ``window_slots - 1``."""
     library = cfg.trace_library
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     lengths = np.array([len(t) for t in library], dtype=np.float64)
     tr, offs, first = _draw(rng, n, 1, lengths, max(len(t) for t in library))
     flows = [
@@ -222,7 +213,7 @@ def _gap_sums(gaps, idx, offs, first):
 
 
 def _rep_probability(table, n, runs, seed) -> float:
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     # batches bound the memory of large runs; the draw order is unchanged
     batch = max(1, _BATCH_FLOWS // max(n, 1))
     hits = 0

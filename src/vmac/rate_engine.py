@@ -13,9 +13,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ByteOverflow, MixedFps, RateOverflow, WindowOutOfRange
-from .trace_model import (BITS_PER_BYTE, INT64_MAX, K, FlowInstance, _int_field,
-                          _int_fields)
+from .errors import (ByteOverflow, InsufficientHistory, MixedFps, RateOverflow,
+                     WindowOutOfRange)
+from .trace_model import (BITS_PER_BYTE, INT64_MAX, K, FlowInstance, VideoTrace,
+                          _int_field, _int_fields)
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,7 @@ class MeasurementWindow:
 
     def __post_init__(self):
         _int_fields(self, "end_slot", "length_slots")
-        if self.length_slots < 1:
-            raise ValueError(f"length_slots must be >= 1, got {self.length_slots}")
+        _int_field(self.length_slots, "length_slots", least=1)
         if self.end_slot < self.length_slots - 1:
             raise WindowOutOfRange(
                 f"window of {self.length_slots} slots does not fit before "
@@ -57,15 +57,23 @@ class RateSample(NamedTuple):
     window: MeasurementWindow
 
 
-def _shared_fps(flows: Sequence[FlowInstance]) -> float:
-    fps = flows[0].trace.fps
-    for flow in flows[1:]:
-        if flow.trace.fps != fps:
-            raise MixedFps(
-                f"flows mix frame rates {fps} and {flow.trace.fps}; "
-                "a common slot grid requires one fps"
-            )
+def _shared_fps(traces: Sequence[VideoTrace]) -> float:
+    """The one frame rate of `traces`, 0.0 for none.  Raises MixedFps naming
+    the first frame rate and the first that differs from it."""
+    fps = traces[0].fps if traces else 0.0
+    for trace in traces:
+        if trace.fps != fps:
+            raise MixedFps(f"traces mix frame rates {fps} and {trace.fps}, "
+                           "but a common slot grid needs one fps")
     return fps
+
+
+def _check_history(traces: Sequence[VideoTrace], w: int) -> None:
+    """Raises InsufficientHistory unless every trace holds a `w`-slot window."""
+    shortest = min(len(t) for t in traces)
+    if shortest < w:
+        raise InsufficientHistory(
+            f"shortest trace has {shortest} slots, window needs {w}")
 
 
 def _rate_overflow(flows, fps) -> RateOverflow:
@@ -76,9 +84,7 @@ def _rate_overflow(flows, fps) -> RateOverflow:
 def instantaneous_aggregate_rate(flows: Sequence[FlowInstance], slot: int) -> float:
     """Sum of all flows' rates at one frame slot, in bits/s; 0 for no flows.
     Raises RateOverflow when it exceeds the largest double."""
-    if not flows:
-        return 0.0
-    fps = _shared_fps(flows)
+    fps = _shared_fps([f.trace for f in flows])
     total_bytes = sum(f.trace.size_at(f.start_offset + slot) for f in flows)
     rate = total_bytes * BITS_PER_BYTE * fps
     if rate == inf:
@@ -95,9 +101,7 @@ def average_aggregate_rate(
     by its duration, exactly, because rates are constant within a slot.
     Raises RateOverflow when it exceeds the largest double.
     """
-    if not flows:
-        return 0.0
-    fps = _shared_fps(flows)
+    fps = _shared_fps([f.trace for f in flows])
     total_bytes = sum(
         f.trace.window_bytes(f.start_offset + window.start_slot, window.length_slots)
         for f in flows
@@ -139,7 +143,7 @@ def aggregate_rate_series(
     if window_slots < 1 or n_slots < 0:
         raise ValueError(f"need window_slots >= 1 and n_slots >= 0, "
                          f"got {window_slots} and {n_slots}")
-    fps = _shared_fps(flows) if flows else 0.0
+    fps = _shared_fps([f.trace for f in flows])
     agg = np.zeros(n_slots, dtype=np.int64)
     w = window_slots
     peak = sum(f.trace._peak for f in flows)  # bounds every slot's bytes
@@ -196,7 +200,7 @@ def rate_sample(flows: Sequence[FlowInstance], window: MeasurementWindow) -> Rat
         if tkey is not key:
             tw, n, tfps = tkey
             if tfps != fps:
-                _shared_fps(flows)  # raises MixedFps
+                _shared_fps([f.trace for f in flows])  # raises MixedFps
             if tw != w:
                 tkey, packed = f.trace.window_table(w)
             key, first_mod = tkey, first % n

@@ -112,6 +112,19 @@ def _positive_real(value, name: str):
     raise ValueError(f"{name} must be a positive real, got {value!r}")
 
 
+def _rng(seed) -> np.random.Generator:
+    """The PCG64 stream of `seed`, which must be an integer >= 0."""
+    return np.random.Generator(np.random.PCG64(_int_field(seed, "seed", least=0)))
+
+
+def _synth_stream(length, seed) -> tuple[int, np.random.Generator]:
+    """A generator's `length`, an integer above 0, and the stream of `seed`."""
+    length = _int_field(length, "length")
+    if length < 1:
+        raise ValueError(f"length must be positive, got {length}")
+    return length, _rng(seed)
+
+
 def _int_fields(record, *names: str) -> None:
     """Store each field `names` of the frozen dataclass `record` that is not
     exactly an int as `_int_field` gives it, with its ValueError."""
@@ -430,15 +443,13 @@ def synth_bounded_trace(
     rates sit on the 8*fps grid at or just below the drawn value.
     Deterministic per seed.
     """
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
+    length, rng = _synth_stream(length, seed)
     factor = BITS_PER_BYTE * fps
     if math.floor(bounds.max_rate / factor) < 1 and bounds.min_rate > 0:
         raise BoundsTooTight(
             f"no positive frame size representable within "
             f"[{bounds.min_rate}, {bounds.max_rate}] bits/s at fps={fps}"
         )
-    rng = np.random.Generator(np.random.PCG64(seed))
     rates = rng.uniform(bounds.min_rate, bounds.max_rate, size=length)
     sizes = np.floor(rates / factor).astype(np.int64)
     return VideoTrace(id=trace_id, sizes=sizes, fps=fps)
@@ -467,9 +478,7 @@ def synth_onoff_trace(
     `quiet_exit`) overlays quiet episodes at ``quiet_factor * base_rate``
     whose mean length is 1/quiet_exit slots.  Deterministic per seed.
     """
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    length, rng = _synth_stream(length, seed)
     # one block of uniforms, taken in the order of one scalar draw per test:
     # a slot makes at most three (quiet switch, dip, noise)
     draws = iter(rng.random(3 * length).tolist())

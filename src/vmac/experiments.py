@@ -39,6 +39,7 @@ from .trace_model import (
     ContentClass,
     FlowInstance,
     VideoTrace,
+    _content_class,
     _int_field,
     _int_fields,
     _rng,
@@ -325,11 +326,12 @@ def run_content_comparison(
 ) -> tuple[tuple[ContentClass, int, MeanWithCI], ...]:
     """Probability sweep restricted to each content class in turn.  A class
     with no trace in the library raises ClassMissing before any scenario
-    runs, as does any setting its config refuses."""
+    runs, as does any setting its config refuses; a value that is not a
+    `ContentClass` member, such as its name, raises ValueError."""
     if not classes:
         raise ValueError("content classes must not be empty")
     cfgs = []
-    for content_class in classes:
+    for content_class in map(_content_class, classes):
         sub = tuple(t for t in cfg.trace_library if t.content_class is content_class)
         if not sub:
             raise ClassMissing(content_class)

@@ -112,6 +112,15 @@ def _positive_real(value, name: str):
     raise ValueError(f"{name} must be a positive real, got {value!r}")
 
 
+def _content_class(value) -> ContentClass:
+    """`value` if it is a `ContentClass` member; raises ValueError otherwise,
+    for a class name too."""
+    if isinstance(value, ContentClass):
+        return value
+    raise ValueError(f"content class must be a ContentClass, got "
+                     f"{type(value).__name__} {value!r}")
+
+
 def _rng(seed) -> np.random.Generator:
     """The PCG64 stream of `seed`, which must be an integer >= 0."""
     return np.random.Generator(np.random.PCG64(_int_field(seed, "seed", least=0)))
@@ -176,6 +185,7 @@ class VideoTrace:
         if n == 0:
             raise EmptyTrace(self.id)
         _positive_real(self.fps, "fps")
+        _content_class(self.content_class)
         frame_types = "?" * n if self.frame_types is None else "".join(self.frame_types)
         if len(frame_types) != n or not set(frame_types).issubset(_TYPE_CHARS):
             raise ValueError(

@@ -62,6 +62,23 @@ def test_seed_rejects_negative_indices():
         derive_run_seed(0, 0, -1)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((True, 0, 0), "master_seed must be an integer, got bool True"),
+    ((1.0, 0, 0), "master_seed must be an integer, got float 1.0"),
+    ((0, True, 0), "rep_index must be an integer, got bool True"),
+    ((0, 0, 1.0), "run_index must be an integer, got float 1.0"),
+], ids=["bool-seed", "float-seed", "bool-rep", "float-run"])
+def test_seed_refuses_bools_and_non_integers(args, message):
+    # True hashed as "True", another stream than 1's, and 1.0 as "1.0"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        derive_run_seed(*args)
+
+
+def test_seed_of_numpy_integers_is_the_seed_of_their_values():
+    assert derive_run_seed(np.int64(-5), np.int32(3), np.uint8(11)) == \
+        derive_run_seed(-5, 3, 11)
+
+
 # -- config validation -----------------------------------------------------------
 
 def test_empty_library_rejected():
@@ -160,6 +177,16 @@ def test_single_rep_rejected_at_build_time():
 def test_check_settings_refuses_one_rep():
     with pytest.raises(ValueError, match="^reps must be >= 2"):
         experiments.check_settings(reps=1)
+
+
+@pytest.mark.parametrize("reps, message", [
+    (2.5, "reps must be an integer, got float 2.5"),
+    (True, "reps must be an integer, got bool True"),
+], ids=["float", "bool"])
+def test_check_settings_refuses_reps_that_are_not_an_integer(reps, message):
+    # 2.5 passed, and True was compared as 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        experiments.check_settings(reps=reps)
 
 
 def test_mixed_fps_message_names_both_frame_rates():
@@ -452,6 +479,18 @@ def test_content_comparison_refuses_missing_class_before_any_scenario(
     with pytest.raises(ClassMissing) as err:
         run_content_comparison(cfg, (ContentClass.NEWS, ContentClass.MOVIE), (2, 5))
     assert err.value.content_class is ContentClass.MOVIE
+
+
+@pytest.mark.parametrize("classes", [("movie",), (ContentClass.NEWS, "news")],
+                         ids=["name", "member-then-name"])
+def test_content_comparison_refuses_a_class_that_is_not_a_member(
+        no_table_or_draw, classes):
+    # a name raised AttributeError inside ClassMissing, or ClassMissing
+    # for a class the library holds
+    news = make_trace([1000, 3000] * 25, content_class=ContentClass.NEWS)
+    cfg = ExperimentConfig(trace_library=(news,), runs_per_rep=10, reps=2)
+    with pytest.raises(ValueError, match="^content class must be a ContentClass, got str "):
+        run_content_comparison(cfg, classes, (2, 5))
 
 
 def test_burstiness_of_one_end_slot_refused_before_any_draw(cbr_library, monkeypatch):

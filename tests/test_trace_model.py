@@ -367,6 +367,46 @@ def test_invalid_bounds_rejected():
         synth_onoff_trace(0, 30.0, 0, 1 * MBPS)
 
 
+GENERATORS = {
+    "bounded": lambda length, seed: synth_bounded_trace(
+        length, FlowRateBounds(0.0, 1 * MBPS), fps=30.0, seed=seed),
+    "onoff": lambda length, seed: synth_onoff_trace(length, 30.0, seed, 1 * MBPS),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got bool True"),
+    (1.5, "seed must be an integer, got float 1.5"),
+    (-1, "seed must be >= 0, got -1"),
+], ids=["bool", "float", "negative"])
+def test_generators_refuse_a_bad_seed(generator, seed, message):
+    # True drew the trace of seed 1; 1.5 and -1 failed inside numpy
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GENERATORS[generator](10, seed)
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+@pytest.mark.parametrize("length, message", [
+    (True, "length must be an integer, got bool True"),
+    (5.0, "length must be an integer, got float 5.0"),
+], ids=["bool", "float"])
+def test_generators_refuse_a_length_that_is_not_an_integer(generator, length, message):
+    # True built a one-frame trace; 5.0 failed inside numpy
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GENERATORS[generator](length, 0)
+
+
+@pytest.mark.parametrize("content_class, message", [
+    ("news", "content class must be a ContentClass, got str 'news'"),
+    (None, "content class must be a ContentClass, got NoneType None"),
+], ids=["name", "none"])
+def test_trace_refuses_a_content_class_that_is_not_a_member(content_class, message):
+    # a name built a trace that serialize_trace could not write
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        VideoTrace(id="t", sizes=[1, 2], fps=30.0, content_class=content_class)
+
+
 # -- bursty synthesis ---------------------------------------------------------
 
 def test_synth_onoff_deterministic():

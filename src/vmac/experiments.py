@@ -14,7 +14,9 @@ in one batched gather, and the sweep reports mean plus confidence interval
 over `reps` repetitions.  The gap table the gather reads depends only on
 the library and window, so `_sweep` builds it once for all the flow counts
 of one config.  Each public sweep runs its scenarios through `_sweep`, and
-builds, and so checks, every config it needs before the first table.
+builds, and so checks, every config it needs before the first table.  A
+config checks its library with `rate_engine`'s `_shared_fps` and
+`_check_history`; every stream is `trace_model._rng` of a derived seed.
 """
 
 from __future__ import annotations

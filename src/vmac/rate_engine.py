@@ -2,7 +2,9 @@
 
 All aggregation is done in integer frame bytes and converted to bits/s at
 the end, so that for constant-bitrate input the windowed average equals the
-instantaneous rate bit-for-bit.
+instantaneous rate bit-for-bit.  `_shared_fps` (one frame rate, so one slot
+grid) and `_check_history` (a window that fits the shortest trace) are the
+only copies of those rules.
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ without spaces around the ``=``.
 A parsed trace is held as columns: `VideoTrace.sizes`, `.frame_types` and
 `.indices`.  Every vmac setting is checked by one of two rules, each written
 once here: `_int_field` (an integer, at least a given value) and
-`_positive_real` (a rate or frame rate).
+`_positive_real` (a rate or frame rate).  Every random stream is `_rng(seed)`,
+PCG64 of a seed checked as an integer >= 0, and a content class must be a
+`ContentClass` member (`_content_class`).
 """
 
 from __future__ import annotations

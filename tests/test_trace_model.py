@@ -375,26 +375,18 @@ GENERATORS = {
 
 
 @pytest.mark.parametrize("generator", sorted(GENERATORS))
-@pytest.mark.parametrize("seed, message", [
-    (True, "seed must be an integer, got bool True"),
-    (1.5, "seed must be an integer, got float 1.5"),
-    (-1, "seed must be >= 0, got -1"),
-], ids=["bool", "float", "negative"])
-def test_generators_refuse_a_bad_seed(generator, seed, message):
-    # True drew the trace of seed 1; 1.5 and -1 failed inside numpy
+@pytest.mark.parametrize("length, seed, message", [
+    (10, True, "seed must be an integer, got bool True"),
+    (10, 1.5, "seed must be an integer, got float 1.5"),
+    (10, -1, "seed must be >= 0, got -1"),
+    (True, 0, "length must be an integer, got bool True"),
+    (5.0, 0, "length must be an integer, got float 5.0"),
+], ids=["bool-seed", "float-seed", "negative-seed", "bool-length", "float-length"])
+def test_generators_refuse_a_bad_seed_or_length(generator, length, seed, message):
+    # a seed of True drew the trace of seed 1, and a length of True built a
+    # one-frame trace; the floats and -1 failed inside numpy
     with pytest.raises(ValueError, match=f"^{message}$"):
-        GENERATORS[generator](10, seed)
-
-
-@pytest.mark.parametrize("generator", sorted(GENERATORS))
-@pytest.mark.parametrize("length, message", [
-    (True, "length must be an integer, got bool True"),
-    (5.0, "length must be an integer, got float 5.0"),
-], ids=["bool", "float"])
-def test_generators_refuse_a_length_that_is_not_an_integer(generator, length, message):
-    # True built a one-frame trace; 5.0 failed inside numpy
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        GENERATORS[generator](length, 0)
+        GENERATORS[generator](length, seed)
 
 
 @pytest.mark.parametrize("content_class, message", [

@@ -12,10 +12,10 @@ aggregate rate is strictly below the instantaneous aggregate rate at the
 decision instant; per repetition it is estimated over `runs_per_rep` runs
 in one batched gather, and the sweep reports mean plus confidence interval
 over `reps` repetitions.  The gap table the gather reads depends only on
-the library and window, so `_sweep` builds it once for all the flow counts
-of one config.  Each public sweep runs its scenarios through `_sweep`, and
-builds, and so checks, every config it needs before the first table.  A
-config checks its library with `rate_engine`'s `_shared_fps` and
+the library and window.  `_sweep` runs every probability sweep: it builds
+one table per config and numbers, and so seeds, the sweep's scenarios.
+A public sweep builds, and so checks, its configs before the first table.
+A config checks its library with `rate_engine`'s `_shared_fps` and
 `_check_history`; every stream is `trace_model._rng` of a derived seed.
 """
 
@@ -100,9 +100,9 @@ def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
     also for a seed or count that is a bool or not an integer."""
     _int_field(master_seed, "seed", least=0)
     if flow_counts is not None:
+        flow_counts = tuple(_int_field(n, "flow count") for n in flow_counts)
         if not flow_counts:
             raise ValueError("flow counts must not be empty")
-        flow_counts = tuple(_int_field(n, "flow count") for n in flow_counts)
         _int_field(min(flow_counts), "flow counts", least=1)
     for name, value, least in (
             ("window_slots", window_slots, 1), ("runs_per_rep", runs_per_rep, 1),
@@ -237,22 +237,22 @@ def _probability_scenario(cfg, table, n, scenario_seed) -> MeanWithCI:
     return mean_and_ci(values, cfg.confidence)
 
 
-def _sweep(cfg, tag, first=0) -> list[tuple[int, MeanWithCI]]:
-    """Each of `cfg.flow_counts` as one scenario over one gap table for
-    `cfg`'s library and window; the k-th scenario is seeded by
-    ``derive_run_seed(cfg.master_seed, first + k, tag)``."""
-    table = _gap_table(cfg.trace_library, cfg.window_slots, max(cfg.flow_counts))
-    return [
-        (n, _probability_scenario(cfg, table, n,
-                                  derive_run_seed(cfg.master_seed, first + k, tag)))
-        for k, n in enumerate(cfg.flow_counts)
-    ]
+def _sweep(cfgs, tag) -> list[tuple[ExperimentConfig, int, MeanWithCI]]:
+    """`(cfg, n, ci)` for each flow count n of each config, over one gap table per
+    config; the k-th of them is seeded ``derive_run_seed(cfg.master_seed, k, tag)``."""
+    rows = []
+    for cfg in cfgs:
+        table = _gap_table(cfg.trace_library, cfg.window_slots, max(cfg.flow_counts))
+        for n in cfg.flow_counts:
+            seed = derive_run_seed(cfg.master_seed, len(rows), tag)
+            rows.append((cfg, n, _probability_scenario(cfg, table, n, seed)))
+    return rows
 
 
 def run_probability_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Probability that the windowed average is below the instantaneous rate,
     per flow count, with mean and confidence interval over repetitions."""
-    return SweepResult(rows=tuple(_sweep(cfg, 0)))
+    return SweepResult(rows=tuple((n, ci) for _, n, ci in _sweep((cfg,), 0)))
 
 
 def _rate_series(cfg, flow_count, duration_slots, seed):
@@ -313,12 +313,11 @@ def run_window_sweep(
 ) -> tuple[tuple[int, MeanWithCI], ...]:
     """Probability sweep at a fixed flow count across window lengths.  Each
     window's config is built, and so checked, before any scenario runs."""
-    if not window_list:
-        raise ValueError("window lengths must not be empty")
     cfgs = [replace(cfg, flow_counts=(flow_count,), window_slots=w)
             for w in window_list]
-    return tuple((c.window_slots, ci) for k, c in enumerate(cfgs)
-                 for _, ci in _sweep(c, 2, k))
+    if not cfgs:
+        raise ValueError("window lengths must not be empty")
+    return tuple((c.window_slots, ci) for c, _, ci in _sweep(cfgs, 2))
 
 
 def run_content_comparison(
@@ -330,14 +329,14 @@ def run_content_comparison(
     with no trace in the library raises ClassMissing before any scenario
     runs, as does any setting its config refuses; a value that is not a
     `ContentClass` member, such as its name, raises ValueError."""
-    if not classes:
-        raise ValueError("content classes must not be empty")
+    flow_counts = tuple(flow_counts)
     cfgs = []
     for content_class in map(_content_class, classes):
         sub = tuple(t for t in cfg.trace_library if t.content_class is content_class)
         if not sub:
             raise ClassMissing(content_class)
         cfgs.append(replace(cfg, trace_library=sub, flow_counts=flow_counts))
-    return tuple((content_class, n, ci)
-                 for k, (content_class, c) in enumerate(zip(classes, cfgs))
-                 for n, ci in _sweep(c, 3, k * len(flow_counts)))
+    if not cfgs:
+        raise ValueError("content classes must not be empty")
+    return tuple((c.trace_library[0].content_class, n, ci)
+                 for c, n, ci in _sweep(cfgs, 3))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -175,9 +176,10 @@ def _check_two_values(count: int) -> None:
 
 
 def _check_confidence(confidence: float) -> None:
-    """Refuse a confidence outside (0, 1), or so close to 1 that (1 + c) / 2
-    rounds to 1, whose t quantile is infinite.  Raises ValueError."""
-    if not (0.0 < confidence and (1.0 + confidence) / 2.0 < 1.0):
+    """Refuse a confidence that is not a real in (0, 1), or so close to 1 that
+    (1 + c) / 2 rounds to 1, whose t quantile is infinite.  Raises ValueError."""
+    if not (isinstance(confidence, Real) and 0.0 < confidence
+            and (1.0 + confidence) / 2.0 < 1.0):
         raise ValueError(f"confidence must be in (0, 1), with (1 + c) / 2 "
                          f"below 1, got {confidence!r}")
 

@@ -128,12 +128,12 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_int_field(seed, "seed", least=0)))
 
 
-def _synth_stream(length, seed) -> tuple[int, np.random.Generator]:
-    """A generator's `length`, an integer above 0, and the stream of `seed`."""
+def _synth_stream(length, seed, fps) -> tuple[int, np.random.Generator, float]:
+    """A generator's `length` (>= 1), `seed`'s stream and 8 * `fps` (a positive real)."""
     length = _int_field(length, "length")
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    return length, _rng(seed)
+    return length, _rng(seed), BITS_PER_BYTE * _positive_real(fps, "fps")
 
 
 def _int_fields(record, *names: str) -> None:
@@ -455,8 +455,7 @@ def synth_bounded_trace(
     rates sit on the 8*fps grid at or just below the drawn value.
     Deterministic per seed.
     """
-    length, rng = _synth_stream(length, seed)
-    factor = BITS_PER_BYTE * fps
+    length, rng, factor = _synth_stream(length, seed, fps)
     if math.floor(bounds.max_rate / factor) < 1 and bounds.min_rate > 0:
         raise BoundsTooTight(
             f"no positive frame size representable within "
@@ -490,11 +489,10 @@ def synth_onoff_trace(
     `quiet_exit`) overlays quiet episodes at ``quiet_factor * base_rate``
     whose mean length is 1/quiet_exit slots.  Deterministic per seed.
     """
-    length, rng = _synth_stream(length, seed)
+    length, rng, factor = _synth_stream(length, seed, fps)
     # one block of uniforms, taken in the order of one scalar draw per test:
     # a slot makes at most three (quiet switch, dip, noise)
     draws = iter(rng.random(3 * length).tolist())
-    factor = BITS_PER_BYTE * fps
     # `rng.uniform(lo, hi)` is lo + (hi - lo) * u
     lo, hi = 1.0 - noise, 1.0 + noise
     sizes = []

@@ -174,6 +174,17 @@ def test_single_rep_rejected_at_build_time():
         ExperimentConfig(trace_library=lib, reps=1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda lib: experiments.check_settings(confidence="0.9"),
+    lambda lib: ExperimentConfig(trace_library=lib, confidence=None),
+    lambda lib: ExperimentConfig(trace_library=lib, confidence="0.9"),
+], ids=["check_settings-string", "config-none", "config-string"])
+def test_confidence_that_is_not_a_real_refused(cbr_library, call):
+    # each raised TypeError from the comparison
+    with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\)"):
+        call(cbr_library)
+
+
 def test_check_settings_refuses_one_rep():
     with pytest.raises(ValueError, match="^reps must be >= 2"):
         experiments.check_settings(reps=1)
@@ -357,6 +368,42 @@ def test_content_comparison_shape():
         (ContentClass.SPORTS, 5),
     ]
     assert all(0.0 <= ci.mean <= 1.0 for _, _, ci in rows)
+
+
+# -- lists of any iterable kind ----------------------------------------------------
+# each list argument is read in one pass, so a numpy array or a generator
+# gives the rows of the equal tuple
+
+def test_config_and_burstiness_take_a_numpy_array_of_counts(cbr_library):
+    # both raised numpy's "truth value of an array ... is ambiguous"
+    cfg = ExperimentConfig(trace_library=cbr_library, flow_counts=np.array([2, 5]))
+    assert cfg.flow_counts == (2, 5)
+    assert all(type(n) is int for n in cfg.flow_counts)
+    assert (run_burstiness_table(cfg, np.array([5, 40]), duration_slots=50)
+            == run_burstiness_table(cfg, (5, 40), duration_slots=50))
+
+
+def test_window_sweep_takes_a_numpy_array_of_windows(bursty_lib):
+    cfg = ExperimentConfig(trace_library=bursty_lib, runs_per_rep=20, reps=2,
+                           master_seed=3)
+    rows = run_window_sweep(cfg, 5, np.array([2, 5]))
+    assert rows == run_window_sweep(cfg, 5, (2, 5))
+    assert [type(w) for w, _ in rows] == [int, int]
+
+
+@pytest.mark.parametrize("make_counts", [
+    lambda: (n for n in (2, 5)), lambda: np.array([2, 5]),
+], ids=["generator", "numpy"])
+def test_content_comparison_takes_iterables_of_classes_and_counts(make_counts):
+    # a generator of classes gave () with no error, a generator of counts
+    # "min() arg is an empty sequence" from the second class on, and an
+    # array the numpy truth-value error
+    cfg = ExperimentConfig(trace_library=bundled_library("content"),
+                           runs_per_rep=20, reps=2, master_seed=1)
+    classes = (ContentClass.NEWS, ContentClass.SPORTS)
+    rows = run_content_comparison(cfg, (c for c in classes), make_counts())
+    assert rows == run_content_comparison(cfg, classes, (2, 5))
+    assert [(c, n) for c, n, _ in rows] == [(c, n) for c in classes for n in (2, 5)]
 
 
 # -- window sweep validation -------------------------------------------------------------

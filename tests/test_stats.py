@@ -637,6 +637,14 @@ def test_series_beyond_the_double_range():
     assert peak_to_mean([1e160, 0.0]) == 2.0
 
 
+@pytest.mark.parametrize("confidence", ["0.9", None, 1j, [0.9]],
+                         ids=["string", "none", "complex", "list"])
+def test_ci_refuses_a_confidence_that_is_not_a_real(confidence):
+    # each raised TypeError from the comparison
+    with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\)"):
+        mean_and_ci([0.25, 0.5], confidence)
+
+
 def test_ci_refuses_a_confidence_whose_quantile_is_infinite():
     # (1 + c) / 2 rounds to 1 for c = 1 - 2^-53, whose t quantile is
     # infinite; c = 1 - 2^-52 is the largest confidence with a finite one

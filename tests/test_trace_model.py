@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import pickle
+import re
 import sys
 import tempfile
 import threading
@@ -387,6 +388,23 @@ def test_generators_refuse_a_bad_seed_or_length(generator, length, seed, message
     # one-frame trace; the floats and -1 failed inside numpy
     with pytest.raises(ValueError, match=f"^{message}$"):
         GENERATORS[generator](length, seed)
+
+
+@pytest.mark.parametrize("generator", ["bounded", "onoff"])
+@pytest.mark.parametrize("fps, shown", [
+    (0.0, "0.0"), ("30", "'30'"), (math.nan, "nan"), (math.inf, "inf"),
+], ids=["zero", "string", "nan", "inf"])
+def test_generators_refuse_a_bad_fps_before_using_it(generator, fps, shown):
+    # 0.0 divided by zero, "30" raised TypeError and NaN failed in int();
+    # the bounded generator at inf, with a positive least rate, raised
+    # BoundsTooTight
+    make = {
+        "bounded": lambda: synth_bounded_trace(
+            10, FlowRateBounds(0.5 * MBPS, 1 * MBPS), fps=fps, seed=0),
+        "onoff": lambda: synth_onoff_trace(10, fps, 0, 1 * MBPS),
+    }[generator]
+    with pytest.raises(ValueError, match=f"^fps must be a positive real, got {re.escape(shown)}$"):
+        make()
 
 
 @pytest.mark.parametrize("content_class, message", [

@@ -26,8 +26,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vmac.trace_model import (MBPS, ContentClass, VideoTrace, serialize_trace,
-                              synth_onoff_trace)
+from vmac.trace_model import (MBPS, ContentClass, VideoTrace, _synth_stream,
+                              serialize_trace)
 
 BURSTY_SEED = 42
 NEWS_SEED = 7
@@ -35,6 +35,54 @@ SPORTS_SEED = 8
 SAMPLE_SEED = 5
 
 TRACES_ROOT = Path(__file__).resolve().parent.parent / "traces"
+
+
+def synth_onoff_trace(
+    length: int,
+    fps: float,
+    seed: int,
+    base_rate: float,
+    dip_prob: float = 0.0,
+    dip_factor: float = 1.0,
+    quiet_enter: float = 0.0,
+    quiet_exit: float = 1.0,
+    quiet_factor: float = 1.0,
+    noise: float = 0.0,
+    trace_id: str = "synth-onoff",
+    content_class: ContentClass = ContentClass.UNKNOWN,
+) -> VideoTrace:
+    """Bursty trace: a base rate with single-slot dips and quiet episodes.
+
+    Each slot carries ``base_rate`` scaled by a multiplicative uniform noise
+    of half-width `noise`.  Independently per slot, with probability
+    `dip_prob` the slot drops to ``dip_factor * base_rate``.  A two-state
+    Markov chain (enter probability `quiet_enter`, exit probability
+    `quiet_exit`) overlays quiet episodes at ``quiet_factor * base_rate``
+    whose mean length is 1/quiet_exit slots.  Deterministic per seed.
+    """
+    length, rng, factor = _synth_stream(length, seed, fps)
+    # one block of uniforms, taken in the order of one scalar draw per test:
+    # a slot makes at most three (quiet switch, dip, noise)
+    draws = iter(rng.random(3 * length).tolist())
+    # `rng.uniform(lo, hi)` is lo + (hi - lo) * u
+    lo, hi = 1.0 - noise, 1.0 + noise
+    sizes = []
+    quiet = False
+    for _ in range(length):
+        if quiet:
+            if next(draws) < quiet_exit:
+                quiet = False
+        elif next(draws) < quiet_enter:
+            quiet = True
+        level = base_rate * quiet_factor if quiet else base_rate
+        if not quiet and dip_prob and next(draws) < dip_prob:
+            level = base_rate * dip_factor
+        if noise:
+            level *= lo + (hi - lo) * next(draws)
+        sizes.append(int(level / factor))
+    return VideoTrace(
+        id=trace_id, sizes=sizes, fps=fps, content_class=content_class
+    )
 
 
 def synth_gop_trace(

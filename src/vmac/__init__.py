@@ -46,7 +46,6 @@ from .trace_model import (
     parse_trace_file,
     serialize_trace,
     synth_bounded_trace,
-    synth_onoff_trace,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ aggregate rate is strictly below the instantaneous aggregate rate at the
 decision instant; per repetition it is estimated over `runs_per_rep` runs
 in one batched gather, and the sweep reports mean plus confidence interval
 over `reps` repetitions.  The gap table the gather reads depends only on
-the library and window.  `_sweep` runs every probability sweep: it builds
+the library and window; its rows are `trace_model._gaps`, the one place
+the gap D is formed.  `_sweep` runs every probability sweep: it builds
 one table per config and numbers, and so seeds, the sweep's scenarios.
 A public sweep builds, and so checks, its configs before the first table.
 A config checks its library with `rate_engine`'s `_shared_fps` and
@@ -42,6 +43,7 @@ from .trace_model import (
     FlowInstance,
     VideoTrace,
     _content_class,
+    _gaps,
     _int_field,
     _int_fields,
     _rng,
@@ -96,11 +98,17 @@ def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
                    confidence=0.5, workers=1, master_seed=0):
     """The `ExperimentConfig` checks that read no trace, so that a caller can
     refuse a bad setting before it loads any; a setting not given passes.
-    Returns the flow counts as a tuple of Python ints.  Raises ValueError,
-    also for a seed or count that is a bool or not an integer."""
+    Returns the flow counts, read once, as a tuple of Python ints.  Raises
+    ValueError, also for a seed or count that is a bool or not an integer
+    and for flow counts that are not an iterable."""
     _int_field(master_seed, "seed", least=0)
     if flow_counts is not None:
-        flow_counts = tuple(_int_field(n, "flow count") for n in flow_counts)
+        try:
+            counts = iter(flow_counts)
+        except TypeError:
+            raise ValueError(f"flow counts must be an iterable of integers, got "
+                             f"{type(flow_counts).__name__} {flow_counts!r}") from None
+        flow_counts = tuple(_int_field(n, "flow count") for n in counts)
         if not flow_counts:
             raise ValueError("flow counts must not be empty")
         _int_field(min(flow_counts), "flow counts", least=1)
@@ -176,13 +184,11 @@ class _GapTable:
 
 
 def _gap_table(library, w, flows) -> _GapTable:
-    """Per trace, the gap D = window bytes - w * last-slot bytes of the
-    `w`-slot window at every start.  Each int64 row holds its trace's gaps
-    repeated periodically to the common width 2 * Lmax - 1, so row[s] is the
-    gap at start s % L for any s in a row.  A run's average is below its
-    instantaneous rate exactly when its flows' gaps sum below 0; over one
-    period each row sums to 0.  Raises ByteOverflow, before building, when a
-    sum of `flows` gaps could exceed int64."""
+    """Per trace, its `trace_model._gaps` for the `w`-slot window.  Each
+    int64 row holds its trace's gaps repeated periodically to the common
+    width 2 * Lmax - 1, so row[s] is the gap at start s % L for any s in a
+    row.  Raises ByteOverflow, before building, when a sum of `flows` gaps
+    could exceed int64."""
     # a gap is at most w * max_frame bytes either way, so this bounds the sums
     max_frame = max(t._peak for t in library)
     if flows * w * max_frame > INT64_MAX:
@@ -192,13 +198,8 @@ def _gap_table(library, w, flows) -> _GapTable:
     lmax = max(len(t) for t in library)
     table = np.empty((len(library), 2 * lmax - 1), dtype=np.int64)
     for row, trace in zip(table, library):
-        c, n = trace._cum2, len(trace)
-        hi, gap = c[w:n + w], row[:n]
-        # (hi - c[:n]) - w * (hi - c[w - 1:n + w - 1]), with no temporaries
-        np.subtract(hi, c[w - 1:n + w - 1], out=gap)
-        gap *= -w
-        gap += hi
-        gap -= c[:n]
+        n = len(trace)
+        _gaps(trace, w, row[:n])
         fill_periodic(row, n)
     table.flags.writeable = lengths.flags.writeable = False
     return _GapTable(table, lengths, lmax)
@@ -329,7 +330,7 @@ def run_content_comparison(
     with no trace in the library raises ClassMissing before any scenario
     runs, as does any setting its config refuses; a value that is not a
     `ContentClass` member, such as its name, raises ValueError."""
-    flow_counts = tuple(flow_counts)
+    flow_counts = check_settings(flow_counts=flow_counts)
     cfgs = []
     for content_class in map(_content_class, classes):
         sub = tuple(t for t in cfg.trace_library if t.content_class is content_class)

@@ -1,4 +1,4 @@
-"""Frame-size traces, synthetic trace generators and per-flow rate lookup.
+"""Frame-size traces, rate lookup, the gap D and a bounded synthetic trace.
 
 A trace is a sequence of frame sizes at a fixed frame rate.  Time is
 discretized in frame slots of duration 1/fps and the rate within a slot is
@@ -26,6 +26,11 @@ once here: `_int_field` (an integer, at least a given value) and
 `_positive_real` (a rate or frame rate).  Every random stream is `_rng(seed)`,
 PCG64 of a seed checked as an integer >= 0, and a content class must be a
 `ContentClass` member (`_content_class`).
+
+The gap D = window bytes - w * last-slot bytes, per start slot of a trace,
+is formed once, by `_gaps`, from the trace's doubled prefix sum `_cum2`,
+which no other module reads.  The bursty on/off generator behind the
+bundled traces lives in `scripts/generate_traces.py`.
 """
 
 from __future__ import annotations
@@ -160,7 +165,7 @@ class VideoTrace:
     `__post_init__` also sets three attributes that are not dataclass
     fields, so `fields`, `asdict` and `astuple` never see them: `_cum2`, the
     doubled prefix sum of `sizes` for O(1) wrapped window sums, as the
-    read-only int64 array the Monte Carlo gap table reads; `_window`, the
+    read-only int64 array from which `_gaps` forms D; `_window`, the
     window table `(key, packed)` that `window_table` builds for the last
     window length sampled, from which `rate_sample` reads one int per flow
     (`((0, n, fps), ())` until the first sample); and `_peak`, the largest
@@ -305,6 +310,23 @@ class VideoTrace:
             raise RateOverflow(f"trace {self.id}: a rate at fps={self.fps:g} "
                                "exceeds the largest double")
         return rates
+
+
+def _gaps(trace: VideoTrace, w: int, out: np.ndarray) -> np.ndarray:
+    """Write into the int64 `out`, of length L, and return the gap D =
+    window bytes - w * last-slot bytes of the `w`-slot window (w <= L) at
+    each start slot of `trace`.  A run's average is below its instantaneous
+    rate exactly when its flows' gaps sum below 0; over one period the gaps
+    sum to 0."""
+    c, n = trace._cum2, len(trace)
+    # prefix sums: (at window end - at its start) - w * (at window end - at
+    # its last slot's start), with no temporaries
+    hi = c[w:n + w]
+    np.subtract(hi, c[w - 1:n + w - 1], out=out)
+    out *= -w
+    out += hi
+    out -= c[:n]
+    return out
 
 
 @dataclass(frozen=True)
@@ -464,51 +486,3 @@ def synth_bounded_trace(
     rates = rng.uniform(bounds.min_rate, bounds.max_rate, size=length)
     sizes = np.floor(rates / factor).astype(np.int64)
     return VideoTrace(id=trace_id, sizes=sizes, fps=fps)
-
-
-def synth_onoff_trace(
-    length: int,
-    fps: float,
-    seed: int,
-    base_rate: float,
-    dip_prob: float = 0.0,
-    dip_factor: float = 1.0,
-    quiet_enter: float = 0.0,
-    quiet_exit: float = 1.0,
-    quiet_factor: float = 1.0,
-    noise: float = 0.0,
-    trace_id: str = "synth-onoff",
-    content_class: ContentClass = ContentClass.UNKNOWN,
-) -> VideoTrace:
-    """Bursty trace: a base rate with single-slot dips and quiet episodes.
-
-    Each slot carries ``base_rate`` scaled by a multiplicative uniform noise
-    of half-width `noise`.  Independently per slot, with probability
-    `dip_prob` the slot drops to ``dip_factor * base_rate``.  A two-state
-    Markov chain (enter probability `quiet_enter`, exit probability
-    `quiet_exit`) overlays quiet episodes at ``quiet_factor * base_rate``
-    whose mean length is 1/quiet_exit slots.  Deterministic per seed.
-    """
-    length, rng, factor = _synth_stream(length, seed, fps)
-    # one block of uniforms, taken in the order of one scalar draw per test:
-    # a slot makes at most three (quiet switch, dip, noise)
-    draws = iter(rng.random(3 * length).tolist())
-    # `rng.uniform(lo, hi)` is lo + (hi - lo) * u
-    lo, hi = 1.0 - noise, 1.0 + noise
-    sizes = []
-    quiet = False
-    for _ in range(length):
-        if quiet:
-            if next(draws) < quiet_exit:
-                quiet = False
-        elif next(draws) < quiet_enter:
-            quiet = True
-        level = base_rate * quiet_factor if quiet else base_rate
-        if not quiet and dip_prob and next(draws) < dip_prob:
-            level = base_rate * dip_factor
-        if noise:
-            level *= lo + (hi - lo) * next(draws)
-        sizes.append(int(level / factor))
-    return VideoTrace(
-        id=trace_id, sizes=sizes, fps=fps, content_class=content_class
-    )

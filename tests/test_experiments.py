@@ -459,6 +459,22 @@ def test_empty_flow_counts_rejected_before_any_draw(cbr_library, monkeypatch, ca
         call(cfg)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cfg: experiments.check_settings(flow_counts=5),
+    lambda cfg: ExperimentConfig(trace_library=cfg.trace_library, flow_counts=5),
+    lambda cfg: run_burstiness_table(cfg, 5, duration_slots=50),
+    lambda cfg: run_content_comparison(cfg, (ContentClass.UNKNOWN,), 5),
+], ids=["check_settings", "config", "burstiness_table", "content_comparison"])
+def test_one_integer_for_flow_counts_refused_by_name(cbr_library, monkeypatch, call):
+    # each raised TypeError: 'int' object is not iterable
+    cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
+    monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
+    monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
+    with pytest.raises(ValueError,
+                       match="^flow counts must be an iterable of integers, got int 5$"):
+        call(cfg)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda cfg: run_rate_timeseries(cfg, True, 20, seed=1),
      "flow count must be an integer, got bool True"),

@@ -18,6 +18,7 @@ from vmac.experiments import (
     _gap_sums,
     _gap_table,
     _rep_probability,
+    draw_flow_set,
     run_burstiness_table,
     run_content_comparison,
     run_probability_sweep,
@@ -31,9 +32,9 @@ from vmac.rate_engine import (
     instantaneous_aggregate_rate,
     rate_sample,
 )
-from vmac.trace_model import BITS_PER_BYTE, FlowInstance
+from vmac.trace_model import BITS_PER_BYTE, K, FlowInstance, _gaps
 
-from .conftest import make_trace
+from .conftest import bundled_library, make_trace
 
 # traces of mixed lengths, short enough that most windows wrap
 libraries = st.lists(
@@ -484,3 +485,35 @@ def test_each_sweep_builds_one_table_per_library_and_window(bursty_lib, monkeypa
     built.clear()
     run_window_sweep(cfg, 5, (2, 25))
     assert built == [(10, 2, 5), (10, 25, 5)]
+
+
+# -- one gap D behind the gap table, the window table and rate_sample ------------
+
+def trace_gaps(trace, w):
+    return _gaps(trace, w, np.empty(len(trace), dtype=np.int64)).tolist()
+
+
+@pytest.mark.parametrize("w", [1, 2, 5, 25, 60])
+def test_gaps_equal_the_window_table_of_every_bundled_trace(w):
+    traces = [t for name in ("bursty", "content", "samples")
+              for t in bundled_library(name)]
+    assert len(traces) == 25
+    low = (1 << K) - 1
+    for trace in traces:
+        packed = trace.window_table(w)[1][:len(trace)]
+        assert trace_gaps(trace, w) == [(p >> K) - w * (p & low) for p in packed]
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_rate_sample_verdict_is_the_sign_of_the_flows_gaps(bursty_lib, n):
+    cfg = ExperimentConfig(trace_library=bursty_lib)
+    w = cfg.window_slots
+    gaps = {id(t): trace_gaps(t, w) for t in bursty_lib}
+    for seed in range(300):
+        flows, end = draw_flow_set(cfg, n, seed)
+        first = end - w + 1
+        total = sum(gaps[id(f.trace)][(f.start_offset + first) % len(f.trace)]
+                    for f in flows)
+        assert total == reference_gap(flows, end, w)
+        s = rate_sample(flows, MeasurementWindow(end_slot=end, length_slots=w))
+        assert (s.average < s.instantaneous) == (total < 0)

@@ -44,10 +44,11 @@ from vmac.trace_model import (
     parse_trace_file,
     serialize_trace,
     synth_bounded_trace,
-    synth_onoff_trace,
 )
 
-from .conftest import TRACES_DIR, flow_rate_at, make_trace, rate_at
+from .conftest import TRACES_DIR, flow_rate_at, generate_traces, make_trace, rate_at
+
+synth_onoff_trace = generate_traces().synth_onoff_trace
 
 
 # -- parsing ------------------------------------------------------------------

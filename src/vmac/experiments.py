@@ -14,7 +14,9 @@ in one batched gather, and the sweep reports mean plus confidence interval
 over `reps` repetitions.  The gap table the gather reads depends only on
 the library and window; its rows are `trace_model._gaps`, the one place
 the gap D is formed.  `_sweep` runs every probability sweep: it builds
-one table per config and numbers, and so seeds, the sweep's scenarios.
+one table per config and owns the seed tree: the sweep's k-th scenario is
+seeded ``derive_run_seed(master_seed, k, tag)``, and that scenario's
+repetition r ``derive_run_seed(scenario_seed, r, 0)``.
 A public sweep builds, and so checks, its configs before the first table.
 A config checks its library with `rate_engine`'s `_shared_fps` and
 `_check_history`; every stream is `trace_model._rng` of a derived seed.
@@ -219,7 +221,7 @@ def _gap_sums(gaps, idx, offs, first):
 def _rep_probability(table, n, runs, seed) -> float:
     rng = _rng(seed)
     # batches bound the memory of large runs; the draw order is unchanged
-    batch = max(1, _BATCH_FLOWS // max(n, 1))
+    batch = max(1, _BATCH_FLOWS // n)
     hits = 0
     for done in range(0, runs, batch):
         tr, offs, first = _draw(rng, n, min(batch, runs - done),
@@ -229,24 +231,20 @@ def _rep_probability(table, n, runs, seed) -> float:
     return hits / runs
 
 
-def _probability_scenario(cfg, table, n, scenario_seed) -> MeanWithCI:
-    values = [
-        _rep_probability(table, n, cfg.runs_per_rep,
-                         derive_run_seed(scenario_seed, rep, 0))
-        for rep in range(cfg.reps)
-    ]
-    return mean_and_ci(values, cfg.confidence)
-
-
 def _sweep(cfgs, tag) -> list[tuple[ExperimentConfig, int, MeanWithCI]]:
-    """`(cfg, n, ci)` for each flow count n of each config, over one gap table per
-    config; the k-th of them is seeded ``derive_run_seed(cfg.master_seed, k, tag)``."""
+    """`(cfg, n, ci)` for each flow count n of each config, over one gap table
+    per config.  The k-th of them is seeded
+    ``scenario_seed = derive_run_seed(cfg.master_seed, k, tag)``, and its
+    repetition r ``derive_run_seed(scenario_seed, r, 0)``."""
     rows = []
     for cfg in cfgs:
         table = _gap_table(cfg.trace_library, cfg.window_slots, max(cfg.flow_counts))
         for n in cfg.flow_counts:
             seed = derive_run_seed(cfg.master_seed, len(rows), tag)
-            rows.append((cfg, n, _probability_scenario(cfg, table, n, seed)))
+            values = [_rep_probability(table, n, cfg.runs_per_rep,
+                                       derive_run_seed(seed, rep, 0))
+                      for rep in range(cfg.reps)]
+            rows.append((cfg, n, mean_and_ci(values, cfg.confidence)))
     return rows
 
 

@@ -74,23 +74,19 @@ class ContentClass(enum.Enum):
 
 
 def _int64_column(values, trace_id, name) -> np.ndarray:
-    """`values` as a new int64 array, converted once.  Raises ValueError
+    """`values` as a new int64 array: an integer array is range-checked and
+    cast at once, anything else checked value by value.  Raises ValueError
     naming the trace unless every value is an integer (a bool is not), and
     OverflowError for one beyond int64."""
-    column = np.asarray(values)
-    if column.size and column.dtype.kind == "u" and column.max() > INT64_MAX:
-        raise OverflowError(name)
-    # numpy holds Python ints beyond int64 as float64 or as objects, and
-    # reads a bool among Python ints as an int, so the value types of a
-    # sequence are checked too; an integer array holds no bools
-    if column.size and (column.dtype.kind not in "iu" or (
-            column.ndim == 1 and not isinstance(values, np.ndarray)
-            and not _BOOLS.isdisjoint(map(type, values)))):
-        column = np.asarray(values, dtype=object)
-        for v in column.flat:
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ValueError(f"trace {trace_id}: {name} must be integers, "
-                                 f"got {type(v).__name__} {v!r}")
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.size and values.dtype.kind == "u" and values.max() > INT64_MAX:
+            raise OverflowError(name)
+        return values.astype(np.int64)
+    column = np.asarray(values, dtype=object)
+    for v in column.flat:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ValueError(f"trace {trace_id}: {name} must be integers, "
+                             f"got {type(v).__name__} {v!r}")
     return column.astype(np.int64)
 
 
@@ -156,10 +152,11 @@ class VideoTrace:
 
     `sizes` (bytes per frame) and `indices` are read-only int64 arrays,
     copied from integers of any type: a float, bool or string among them
-    raises ValueError, rather than being truncated.  `frame_types` holds
-    one character of "IPB?" per frame.  Without `indices` the frames are
-    numbered 0, 1, 2, ...; without `frame_types` every type is unknown
-    ("?").  Equality and hashing are by value; a copy
+    raises ValueError, rather than being truncated.  An integer array is
+    cast at once; a column given as a sequence is checked value by value.
+    `frame_types` holds one character of "IPB?" per frame.  Without
+    `indices` the frames are numbered 0, 1, 2, ...; without `frame_types`
+    every type is unknown ("?").  Equality and hashing are by value; a copy
     or an unpickled trace is rebuilt from the columns.
 
     `__post_init__` also sets three attributes that are not dataclass
@@ -434,8 +431,8 @@ def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
         fps = fps_override
     if fps is None:
         raise MissingFps(path)
-    # the columns go over as int64 arrays, which VideoTrace need not scan
-    # for bools; a size beyond int64 stays a list, for which VideoTrace
+    # the columns go over as int64 arrays, which VideoTrace casts without a
+    # per-value check; a size beyond int64 stays a list, for which VideoTrace
     # raises ByteOverflow, and a bad `fps_override` raises ValueError there:
     # neither is the fault of one line
     try:

@@ -441,7 +441,7 @@ def test_flow_counts_below_one_rejected_before_any_draw(cbr_library, monkeypatch
                                                         call, bad):
     cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
     monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
-    monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
+    monkeypatch.setattr(experiments, "_rep_probability", no_draw)
     with pytest.raises(ValueError, match="flow counts must be >= 1"):
         call(cfg, bad)
 
@@ -454,7 +454,7 @@ def test_flow_counts_below_one_rejected_before_any_draw(cbr_library, monkeypatch
 def test_empty_flow_counts_rejected_before_any_draw(cbr_library, monkeypatch, call):
     cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
     monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
-    monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
+    monkeypatch.setattr(experiments, "_rep_probability", no_draw)
     with pytest.raises(ValueError, match="flow counts must not be empty"):
         call(cfg)
 
@@ -469,7 +469,7 @@ def test_one_integer_for_flow_counts_refused_by_name(cbr_library, monkeypatch, c
     # each raised TypeError: 'int' object is not iterable
     cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
     monkeypatch.setattr(experiments, "draw_flow_set", no_draw)
-    monkeypatch.setattr(experiments, "_probability_scenario", no_draw)
+    monkeypatch.setattr(experiments, "_rep_probability", no_draw)
     with pytest.raises(ValueError,
                        match="^flow counts must be an iterable of integers, got int 5$"):
         call(cfg)
@@ -508,7 +508,7 @@ def no_table(*args, **kwargs):
 
 @pytest.fixture
 def no_table_or_draw(monkeypatch):
-    for name in ("_gap_table", "_probability_scenario", "draw_flow_set"):
+    for name in ("_gap_table", "_rep_probability", "draw_flow_set"):
         monkeypatch.setattr(experiments, name, no_table)
 
 

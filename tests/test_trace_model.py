@@ -745,6 +745,28 @@ def test_integers_past_int64_rejected(big):
         VideoTrace(id="t", sizes=[0] * n, indices=big, fps=30.0)
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ([[1, 2], 3], "frame sizes must be integers, got list [1, 2]"),
+    ([[1, True], [2, 3]], "frame sizes must be integers, got bool True"),
+    ([[1, 2], [3, 4]], "sizes must be one-dimensional"),
+], ids=["ragged", "nested-bool", "two-dimensional"])
+def test_nested_columns_refused_by_name(sizes, message):
+    # the ragged list raised numpy's inhomogeneous-shape error, and the
+    # nested bool read as 1 before the two-dimensional column was refused
+    with pytest.raises(ValueError, match=f"^trace t: {re.escape(message)}$"):
+        VideoTrace(id="t", sizes=sizes, fps=30.0)
+
+
+def test_columns_of_equal_values_build_equal_traces():
+    values = [0, 9, 2 ** 40, 2 ** 41 + 3]
+    traces = [VideoTrace(id="t", sizes=column, indices=column, fps=30.0)
+              for column in (values, tuple(values), np.array(values, dtype=np.int64),
+                             np.array(values, dtype=np.uint64))]
+    assert all(trace == traces[0] for trace in traces)
+    assert len({hash(trace) for trace in traces}) == 1
+    assert traces[0].sizes.tolist() == traces[0].indices.tolist() == values
+
+
 # -- parser fuzz -----------------------------------------------------------------------
 
 INT_FORMS = (

@@ -31,7 +31,11 @@ _CLASS_RATES = {
 
 
 def quality_class_rate(quality: QualityClass) -> float:
-    """Requested rate in bits/s for a video quality class."""
+    """Requested rate in bits/s for a video quality class.  Raises ValueError
+    for a value that is not a `QualityClass` member, such as its name."""
+    if not isinstance(quality, QualityClass):
+        raise ValueError(f"quality class must be a QualityClass, got "
+                         f"{type(quality).__name__} {quality!r}")
     return _CLASS_RATES[quality]
 
 

@@ -128,6 +128,7 @@ def empirical_exceedance(
     if math.isnan(epsilon):
         # every comparison with NaN is false, which would read as 0.0
         raise ValueError("epsilon must not be NaN")
+    flows = tuple(flows)
     if not flows:
         raise ValueError("empirical exceedance needs at least one flow")
     w = window.length_slots

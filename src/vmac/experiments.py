@@ -163,7 +163,9 @@ def draw_flow_set(
 ) -> tuple[list[FlowInstance], int]:
     """One seeded flow set, drawn as one Monte Carlo run of `_draw` over
     `cfg`'s library: its `n` flows and the end slot of its decision window,
-    the window's first slot plus ``window_slots - 1``."""
+    the window's first slot plus ``window_slots - 1``.  Raises ValueError,
+    before any draw, for a count below 1, a bool or not an integer."""
+    n = _int_field(n, "flow count", least=1)
     library = cfg.trace_library
     rng = _rng(seed)
     lengths = np.array([len(t) for t in library], dtype=np.float64)

@@ -86,6 +86,7 @@ def _rate_overflow(flows, fps) -> RateOverflow:
 def instantaneous_aggregate_rate(flows: Sequence[FlowInstance], slot: int) -> float:
     """Sum of all flows' rates at one frame slot, in bits/s; 0 for no flows.
     Raises RateOverflow when it exceeds the largest double."""
+    flows = tuple(flows)
     fps = _shared_fps([f.trace for f in flows])
     total_bytes = sum(f.trace.size_at(f.start_offset + slot) for f in flows)
     rate = total_bytes * BITS_PER_BYTE * fps
@@ -103,6 +104,7 @@ def average_aggregate_rate(
     by its duration, exactly, because rates are constant within a slot.
     Raises RateOverflow when it exceeds the largest double.
     """
+    flows = tuple(flows)
     fps = _shared_fps([f.trace for f in flows])
     total_bytes = sum(
         f.trace.window_bytes(f.start_offset + window.start_slot, window.length_slots)
@@ -145,6 +147,7 @@ def aggregate_rate_series(
     if window_slots < 1 or n_slots < 0:
         raise ValueError(f"need window_slots >= 1 and n_slots >= 0, "
                          f"got {window_slots} and {n_slots}")
+    flows = tuple(flows)
     fps = _shared_fps([f.trace for f in flows])
     agg = np.zeros(n_slots, dtype=np.int64)
     w = window_slots

@@ -1,6 +1,7 @@
 """Admission policy decisions and the quality-class rate table."""
 
 import inspect
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -35,6 +36,17 @@ def test_quality_class_rates_exact():
     assert quality_class_rate(QualityClass.HD_READY) == 8e6
     assert quality_class_rate(QualityClass.SD) == 2e6
     assert quality_class_rate(QualityClass.HD_WEB) == 1.25e6
+
+
+@pytest.mark.parametrize("quality", ["sd", None, 5], ids=["name", "none", "int"])
+def test_quality_class_that_is_not_a_member_refused(quality):
+    # the name and the int raised KeyError
+    message = (f"^quality class must be a QualityClass, got "
+               f"{type(quality).__name__} {re.escape(repr(quality))}$")
+    with pytest.raises(ValueError, match=message):
+        quality_class_rate(quality)
+    with pytest.raises(ValueError, match=message):
+        AdmissionRequest.for_class(quality)
 
 
 def test_instantaneous_admit_with_headroom():

@@ -430,6 +430,22 @@ def no_draw(*args, **kwargs):
     raise AssertionError("drew a scenario before checking the flow counts")
 
 
+@pytest.mark.parametrize("n, message", [
+    (True, "flow count must be an integer, got bool True"),
+    (2.5, "flow count must be an integer, got float 2.5"),
+    ("3", "flow count must be an integer, got str '3'"),
+    (0, "flow count must be >= 1, got 0"),
+    (-1, "flow count must be >= 1, got -1"),
+], ids=["bool", "float", "string", "zero", "negative"])
+def test_draw_flow_set_refuses_a_bad_count_before_drawing(cbr_library, monkeypatch,
+                                                          n, message):
+    # True drew one flow, 0 none, -1 failed inside numpy and 2.5 with TypeError
+    cfg = ExperimentConfig(trace_library=cbr_library, runs_per_rep=10, reps=2)
+    monkeypatch.setattr(experiments, "_draw", no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        experiments.draw_flow_set(cfg, n, 0)
+
+
 @pytest.mark.parametrize("bad", [0, -1])
 @pytest.mark.parametrize("call", [
     lambda cfg, n: run_window_sweep(cfg, n, (2, 5)),

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmac.bounds import empirical_exceedance
 from vmac.errors import MixedFps, RateOverflow, WindowOutOfRange
 from vmac.rate_engine import (
     MeasurementWindow,
     RateSample,
+    aggregate_rate_series,
     average_aggregate_rate,
     instantaneous_aggregate_rate,
     rate_sample,
@@ -51,6 +53,25 @@ def test_mixed_fps_rejected():
         average_aggregate_rate(flows, MeasurementWindow(0, 1))
     with pytest.raises(MixedFps):
         rate_sample(flows, MeasurementWindow(0, 1))
+
+
+@pytest.mark.parametrize("given", [list, tuple, lambda flows: (f for f in flows)],
+                         ids=["list", "tuple", "generator"])
+def test_flow_sets_read_once(bursty_lib, given):
+    # the frame-rate check used up a generator: its rates read 0.0, its
+    # series zeros, and its exceedance raised on an empty max()
+    flows = tuple(FlowInstance(trace=t, start_offset=37 * k)
+                  for k, t in enumerate(bursty_lib))
+    window = MeasurementWindow(end_slot=40, length_slots=5)
+    inst = instantaneous_aggregate_rate(given(flows), 40)
+    assert inst == instantaneous_aggregate_rate(flows, 40) > 0
+    assert average_aggregate_rate(given(flows), window) == \
+        average_aggregate_rate(flows, window) > 0
+    for got, want in zip(aggregate_rate_series(given(flows), 5, 200),
+                         aggregate_rate_series(flows, 5, 200)):
+        assert want.all() and np.array_equal(got, want)
+    assert empirical_exceedance(given(flows), window, 0.0, 500, seed=3) == \
+        empirical_exceedance(flows, window, 0.0, 500, seed=3)
 
 
 def test_average_of_ramp():

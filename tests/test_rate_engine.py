@@ -55,22 +55,22 @@ def test_mixed_fps_rejected():
         rate_sample(flows, MeasurementWindow(0, 1))
 
 
-@pytest.mark.parametrize("given", [list, tuple, lambda flows: (f for f in flows)],
+@pytest.mark.parametrize("as_flows", [list, tuple, lambda flows: (f for f in flows)],
                          ids=["list", "tuple", "generator"])
-def test_flow_sets_read_once(bursty_lib, given):
+def test_flow_sets_read_once(bursty_lib, as_flows):
     # the frame-rate check used up a generator: its rates read 0.0, its
     # series zeros, and its exceedance raised on an empty max()
     flows = tuple(FlowInstance(trace=t, start_offset=37 * k)
                   for k, t in enumerate(bursty_lib))
     window = MeasurementWindow(end_slot=40, length_slots=5)
-    inst = instantaneous_aggregate_rate(given(flows), 40)
-    assert inst == instantaneous_aggregate_rate(flows, 40) > 0
-    assert average_aggregate_rate(given(flows), window) == \
+    assert instantaneous_aggregate_rate(as_flows(flows), 40) == \
+        instantaneous_aggregate_rate(flows, 40) > 0
+    assert average_aggregate_rate(as_flows(flows), window) == \
         average_aggregate_rate(flows, window) > 0
-    for got, want in zip(aggregate_rate_series(given(flows), 5, 200),
+    for got, want in zip(aggregate_rate_series(as_flows(flows), 5, 200),
                          aggregate_rate_series(flows, 5, 200)):
         assert want.all() and np.array_equal(got, want)
-    assert empirical_exceedance(given(flows), window, 0.0, 500, seed=3) == \
+    assert empirical_exceedance(as_flows(flows), window, 0.0, 500, seed=3) == \
         empirical_exceedance(flows, window, 0.0, 500, seed=3)
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from numbers import Real
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class HoeffdingQuery:
             )
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     delta: float
     exponent: float
     underflow: bool = False
@@ -118,13 +118,16 @@ def empirical_exceedance(
 
     Decision instants are drawn uniformly over one full period of valid end
     slots, deterministically per seed.  Only the window's length is taken
-    from `window`; its end slot is resampled.  A NaN `epsilon`, `samples`
-    under 1 and `seed` under 0, a bool or not an integer, raise ValueError;
+    from `window`; its end slot is resampled.  An `epsilon` that is NaN, a
+    bool or not real, and `samples` under 1 and `seed` under 0, a bool or
+    not an integer, raise ValueError;
     flows whose `aggregate_rate_series` would not be exact raise
     ByteOverflow, and flows whose rates exceed the largest double RateOverflow.
     """
     samples = _int_field(samples, "samples", least=1)
     rng = _rng(seed)
+    if not isinstance(epsilon, Real) or type(epsilon) is bool:
+        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
     if math.isnan(epsilon):
         # every comparison with NaN is false, which would read as 0.0
         raise ValueError("epsilon must not be NaN")

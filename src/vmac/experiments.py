@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,20 +122,17 @@ def check_settings(*, flow_counts=None, window_slots=1, runs_per_rep=1, reps=2,
     return flow_counts
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: tuple[tuple[int, MeanWithCI], ...]
 
 
-@dataclass(frozen=True)
-class TimeSeriesResult:
+class TimeSeriesResult(NamedTuple):
     slots: tuple[int, ...]
     instantaneous: tuple[float, ...]
     average: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BurstinessRow:
+class BurstinessRow(NamedTuple):
     flow_count: int
     rate_kind: str  # "instantaneous" or "average"
     peak_to_mean: float
@@ -177,8 +174,7 @@ def draw_flow_set(
     return flows, int(first[0]) + cfg.window_slots - 1
 
 
-@dataclass(frozen=True)
-class _GapTable:
+class _GapTable(NamedTuple):
     """What the scenarios over one library and window share: everything but
     the flow count and the seed; both arrays are read-only."""
 

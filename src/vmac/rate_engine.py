@@ -85,7 +85,9 @@ def _rate_overflow(flows, fps) -> RateOverflow:
 
 def instantaneous_aggregate_rate(flows: Sequence[FlowInstance], slot: int) -> float:
     """Sum of all flows' rates at one frame slot, in bits/s; 0 for no flows.
-    Raises RateOverflow when it exceeds the largest double."""
+    Raises RateOverflow when it exceeds the largest double, and ValueError
+    for a slot that is a bool or not an integer; a negative slot wraps."""
+    slot = _int_field(slot, "slot")
     flows = tuple(flows)
     fps = _shared_fps([f.trace for f in flows])
     total_bytes = sum(f.trace.size_at(f.start_offset + slot) for f in flows)

@@ -34,9 +34,8 @@ vmac nor a default interval loads scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,16 +110,14 @@ def _fsum(values: np.ndarray, overwrite: bool = False) -> float:
     return math.fsum(parts + p[p != 0].tolist())
 
 
-@dataclass(frozen=True)
-class SeriesSummary:
+class SeriesSummary(NamedTuple):
     mean: float
     sample_std: float
     peak: float
     count: int
 
 
-@dataclass(frozen=True)
-class MeanWithCI:
+class MeanWithCI(NamedTuple):
     mean: float
     ci_half_width: float
     confidence: float

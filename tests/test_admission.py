@@ -18,7 +18,10 @@ from vmac.admission import (
     decide_instantaneous,
     quality_class_rate,
 )
+from vmac.bounds import BoundResult
+from vmac.experiments import BurstinessRow, SweepResult, TimeSeriesResult, _GapTable
 from vmac.rate_engine import MeasurementWindow, RateSample
+from vmac.stats import MeanWithCI, SeriesSummary
 from vmac.trace_model import MBPS
 
 LINK = LinkConfig(link_id="l", capacity=100 * MBPS)
@@ -163,18 +166,42 @@ def test_records_keep_field_order_repr_and_immutability():
             record.note = "added"
 
 
-def test_records_are_tuples_of_their_fields():
-    """What README promises callers of the NamedTuple records: tuple
-    equality and hashing, unpacking, and `_replace` for a changed copy."""
-    window = MeasurementWindow(9, 5)
-    rate = RateSample(1.5, 2.25, window)
-    decision = AdmissionDecision(Verdict.ADMIT, 3.0, 0.5, Policy.INSTANTANEOUS)
-    assert rate == (1.5, 2.25, window) and hash(rate) == hash((1.5, 2.25, window))
-    verdict, measured, headroom, policy = decision
-    assert (verdict, measured, headroom, policy) == (
-        Verdict.ADMIT, 3.0, 0.5, Policy.INSTANTANEOUS)
-    assert rate._replace(average=4.0) == RateSample(1.5, 4.0, window)
-    assert decision._asdict()["headroom"] == 0.5
+# each result record with its fields and values in documented order; a record
+# checks nothing, so `_GapTable` takes tuples here in place of its arrays,
+# which do not hash
+RECORDS = [
+    (RateSample, ("instantaneous", "average", "window"),
+     (1.5, 2.25, MeasurementWindow(9, 5))),
+    (AdmissionDecision, ("verdict", "measured_rate", "headroom", "policy"),
+     (Verdict.ADMIT, 3.0, 0.5, Policy.INSTANTANEOUS)),
+    (SeriesSummary, ("mean", "sample_std", "peak", "count"), (2.0, 0.5, 3.0, 4)),
+    (MeanWithCI, ("mean", "ci_half_width", "confidence", "reps"),
+     (0.25, 0.125, 0.95, 5)),
+    (BoundResult, ("delta", "exponent", "underflow"), (0.5, -0.75, False)),
+    (SweepResult, ("rows",), (((5, MeanWithCI(0.25, 0.125, 0.95, 5)),),)),
+    (TimeSeriesResult, ("slots", "instantaneous", "average"),
+     ((4, 5), (1.0, 2.0), (1.5, 1.5))),
+    (BurstinessRow, ("flow_count", "rate_kind", "peak_to_mean", "cov"),
+     (5, "average", 1.25, 0.5)),
+    (_GapTable, ("gaps", "lengths", "lmax"), ((0, -1, 1), (2.0,), 2)),
+]
+
+
+@pytest.mark.parametrize("record_type, fields, values", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_tuples_of_their_fields(record_type, fields, values):
+    """What README promises callers of every result record: a tuple of its
+    fields in order, with tuple equality and hashing, no assignment, and
+    `_replace` and `_asdict` in place of the dataclass helpers."""
+    record = record_type(*values)
+    assert isinstance(record, tuple) and record_type._fields == fields
+    assert record == values and hash(record) == hash(values)
+    for name in (fields[0], "note"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    changed = record._replace(**{fields[-1]: None})
+    assert type(changed) is record_type and changed == (*values[:-1], None)
+    assert record._asdict() == dict(zip(fields, values))
 
 
 def test_decisions_are_records_holding_enum_members():

@@ -108,6 +108,11 @@ def test_query_stores_its_flow_count_as_a_python_int():
     assert type(query.n) is int and query == uniform_query(2, 1.0 / MBPS, 1.0 / MBPS)
 
 
+def test_bound_result_defaults_to_no_underflow():
+    assert repr(BoundResult(0.5, -0.75)) == (
+        "BoundResult(delta=0.5, exponent=-0.75, underflow=False)")
+
+
 def test_underflow_keeps_delta_positive():
     result = hoeffding_delta(uniform_query(1000, 100.0, 0.001))
     assert result.underflow
@@ -287,6 +292,17 @@ def test_exceedance_refuses_a_bad_seed_before_any_draw(monkeypatch, seed, messag
     monkeypatch.setattr(bounds, "aggregate_rate_series", None)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         empirical_exceedance(flows, MeasurementWindow(4, 5), 1.0, 10, seed=seed)
+
+
+@pytest.mark.parametrize("epsilon", [True, np.True_, "x", None, 1j],
+                         ids=["bool", "numpy-bool", "string", "none", "complex"])
+def test_exceedance_refuses_an_epsilon_that_is_not_a_real_before_any_draw(
+        monkeypatch, epsilon):
+    # True was read as epsilon 1, and "x" failed inside math.isnan
+    flows = [FlowInstance(trace=make_trace([1000] * 5), start_offset=0)]
+    monkeypatch.setattr(bounds, "aggregate_rate_series", None)
+    with pytest.raises(ValueError, match="^epsilon must be a real number, got "):
+        empirical_exceedance(flows, MeasurementWindow(4, 5), epsilon, 10, seed=0)
 
 
 def test_exceedance_refuses_nan_epsilon_and_keeps_infinities():

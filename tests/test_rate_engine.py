@@ -45,6 +45,20 @@ def test_instantaneous_single_flow_identity():
         assert instantaneous_aggregate_rate([flow], slot) == flow_rate_at(flow, slot)
 
 
+@pytest.mark.parametrize("slot", [True, 2.5, "3"], ids=["bool", "float", "string"])
+def test_instantaneous_refuses_a_slot_that_is_not_an_integer(slot):
+    # True was read as slot 1 and 2.5 failed inside numpy
+    flow = FlowInstance(trace=make_trace([1, 2, 3, 4, 5]), start_offset=0)
+    with pytest.raises(ValueError, match="^slot must be an integer, got "):
+        instantaneous_aggregate_rate([flow], slot)
+
+
+def test_instantaneous_reads_integer_slots_and_wraps_negative_ones():
+    flow = FlowInstance(trace=make_trace([1, 2, 3, 4, 5]), start_offset=0)
+    assert instantaneous_aggregate_rate([flow], np.int64(1)) == 480.0
+    assert instantaneous_aggregate_rate([flow], -1) == flow_rate_at(flow, 4)
+
+
 def test_mixed_fps_rejected():
     flows = [mbps_flow([1.0], fps=30.0), mbps_flow([1.0], fps=25.0)]
     with pytest.raises(MixedFps):

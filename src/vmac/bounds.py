@@ -47,6 +47,9 @@ class HoeffdingQuery:
             raise ValueError(
                 f"expected {self.n} ranges, got {len(self.ranges)}"
             )
+        for r in self.ranges:
+            if not isinstance(r, FlowRateBounds):
+                raise ValueError(f"a range must be FlowRateBounds, got {r!r}")
 
 
 class BoundResult(NamedTuple):

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from numbers import Real
-from operator import add, index, lshift
+from operator import add, index, length_hint, lshift
 from pathlib import Path
 from typing import Optional
 
@@ -347,6 +347,9 @@ class FlowRateBounds:
     max_rate: float  # bits/s
 
     def __post_init__(self):
+        for v in (self.min_rate, self.max_rate):
+            if not isinstance(v, Real) or type(v) is bool:
+                raise ValueError(f"rate bounds must be reals, got {v!r}")
         if not 0 <= self.min_rate <= self.max_rate:
             raise ValueError(
                 f"need 0 <= min_rate <= max_rate, got [{self.min_rate}, {self.max_rate}]"
@@ -362,18 +365,13 @@ _CLASS_ALIASES = {c.value: c for c in ContentClass}
 _TYPE_OF_TOKEN = {"I": "I", "P": "P", "B": "B"}
 
 
-def _text_lines(text: str) -> list[str]:
-    """The lines of `text` as text-mode reading splits them: CR LF and a lone
-    CR end a line as LF does."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
     """Parse a frame-size trace file.
 
     The in-file ``# fps=`` directive wins over `fps_override`; if neither is
-    present, MissingFps is raised.  Lines are read once, in file order, and
-    the first one that breaks the format raises MalformedLine with its line
+    present, MissingFps is raised.  Lines end at LF, CR LF or a lone CR and
+    are read once, in file order, each decoded as UTF-8 as it is read; the
+    first one that breaks the format raises MalformedLine with its line
     number: a byte that is not UTF-8, a bad ``fps=`` directive, a row that
     is not 1 or 3 integer columns, a negative size, or an index that is not
     above the previous one or is beyond int64.
@@ -385,31 +383,23 @@ def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
     types: list[str] = []
     sizes: list[int] = []
     prev = -1
-    data = path.read_bytes()
+    lines = path.read_bytes().splitlines()
+    rest = iter(lines)
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line that holds the first byte that is not UTF-8
-        line_no = len(_text_lines(data[:exc.start].decode("utf-8")))
-        line = _text_lines(data.decode("utf-8", "replace"))[line_no - 1]
-        raise MalformedLine(path, line_no, line.strip()) from None
-    for line_no, line in enumerate(_text_lines(text), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0][0] == "#":
-            key, eq, value = line.strip()[1:].partition("=")
-            key = key.strip() if eq else None
-            if key == "fps":
-                try:
+        for line in map(bytes.decode, rest):
+            parts = line.split()
+            if not parts:
+                continue
+            # the `in` test is a cheap filter, as rows seldom hold a "#"
+            if "#" in line and parts[0][0] == "#":
+                key, eq, value = line.strip()[1:].partition("=")
+                key = key.strip() if eq else None
+                if key == "fps":
                     fps = _positive_real(float(value), "fps")
-                except ValueError:
-                    raise MalformedLine(path, line_no, line.strip()) from None
-            elif key == "class":
-                name = value.strip().lower()
-                content_class = _CLASS_ALIASES.get(name, ContentClass.UNKNOWN)
-            continue
-        try:
+                elif key == "class":
+                    name = value.strip().lower()
+                    content_class = _CLASS_ALIASES.get(name, ContentClass.UNKNOWN)
+                continue
             if len(parts) == 3:
                 index, size = int(parts[0]), int(parts[2])
                 frame_type = _TYPE_OF_TOKEN.get(parts[1], "?")
@@ -417,14 +407,17 @@ def parse_trace_file(path, fps_override: Optional[float] = None) -> VideoTrace:
                 index, frame_type, size = len(sizes), "?", int(parts[0])
             else:
                 raise ValueError(f"{len(parts)} columns")
-        except ValueError:
-            raise MalformedLine(path, line_no, line.strip()) from None
-        if size < 0 or not prev < index <= INT64_MAX:
-            raise MalformedLine(path, line_no, line.strip())
-        indices.append(index)
-        types.append(frame_type)
-        sizes.append(size)
-        prev = index
+            if size < 0 or not prev < index <= INT64_MAX:
+                raise ValueError("negative size or index out of order")
+            indices.append(index)
+            types.append(frame_type)
+            sizes.append(size)
+            prev = index
+    except ValueError:
+        # the line that raised is the last one taken from `rest`
+        line_no = len(lines) - length_hint(rest)
+        text = lines[line_no - 1].decode("utf-8", "replace").strip()
+        raise MalformedLine(path, line_no, text) from None
     if not sizes:
         raise EmptyTrace(path)
     if fps is None:
@@ -472,9 +465,11 @@ def synth_bounded_trace(
 
     Rates are converted to integer frame sizes by rounding down, so realized
     rates sit on the 8*fps grid at or just below the drawn value.
-    Deterministic per seed.
+    Deterministic per seed; a frame past int64 raises ByteOverflow before any draw.
     """
     length, rng, factor = _synth_stream(length, seed, fps)
+    if not bounds.max_rate / factor < 2.0 ** 63:
+        raise ByteOverflow(f"largest frame size of {bounds} at fps={fps} exceeds int64")
     if math.floor(bounds.max_rate / factor) < 1 and bounds.min_rate > 0:
         raise BoundsTooTight(
             f"no positive frame size representable within "

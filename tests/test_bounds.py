@@ -92,6 +92,16 @@ def test_query_refuses_an_epsilon_that_is_not_a_real(epsilon):
         HoeffdingQuery(n=1, epsilon=epsilon, ranges=(FlowRateBounds(0.0, 1.0),))
 
 
+@pytest.mark.parametrize("ranges, shown", [
+    ((1, 2), "1"),
+    ((FlowRateBounds(0.0, 1.0), (0.0, 1.0)), "(0.0, 1.0)"),
+], ids=["ints", "pair"])
+def test_query_refuses_a_range_that_is_not_rate_bounds(ranges, shown):
+    # the query built, and hoeffding_delta raised AttributeError on .width
+    with pytest.raises(ValueError, match=f"^a range must be FlowRateBounds, got {re.escape(shown)}$"):
+        HoeffdingQuery(n=2, epsilon=1.0, ranges=ranges)
+
+
 @pytest.mark.parametrize("n, message", [
     (True, "flow count must be an integer, got bool True"),
     (2.0, "flow count must be an integer, got float 2.0"),

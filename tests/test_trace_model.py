@@ -9,6 +9,7 @@ import re
 import sys
 import tempfile
 import threading
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -169,6 +170,39 @@ def test_first_non_utf8_byte_is_malformed_line(tmp_path, data, line_no):
         parse_trace_file(p)
     assert exc.value.line_no == line_no
     assert f"line {line_no}:" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "data, line_no",
+    [
+        (b"# fps=30\n0 I 5\nx y\n\xff\n", 3),
+        (b"# fps=30\n\xff\nx y\n", 2),
+    ],
+    ids=["bad-row-before-bad-byte", "bad-byte-before-bad-row"],
+)
+def test_utf8_is_checked_in_file_order_with_every_other_rule(tmp_path, data, line_no):
+    # the whole file was decoded before any line was read, so a bad byte
+    # was reported ahead of an earlier bad row
+    p = tmp_path / "t.txt"
+    p.write_bytes(data)
+    with pytest.raises(MalformedLine) as exc:
+        parse_trace_file(p)
+    assert exc.value.line_no == line_no
+
+
+def test_malformed_line_text_shows_a_bad_byte_as_a_replacement(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"# fps=30\r\n100\r2\xe900\r\n")
+    with pytest.raises(MalformedLine) as exc:
+        parse_trace_file(p)
+    assert exc.value.text == "2\ufffd00"
+
+
+def test_a_hash_after_the_first_column_is_a_frame_type(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("# fps=30\n0 # 5\n  #1 I 6\n1 I 7\n")
+    trace = parse_trace_file(p)
+    assert (trace.sizes.tolist(), trace.frame_types) == ([5, 7], "?I")
 
 
 def test_cr_lf_and_lone_cr_end_lines(tmp_path):
@@ -354,6 +388,40 @@ def test_bounds_too_tight():
     bounds = FlowRateBounds(100.0, 200.0)  # < one byte per frame at 30 fps
     with pytest.raises(BoundsTooTight):
         synth_bounded_trace(10, bounds, fps=30.0, seed=0)
+
+
+@pytest.mark.parametrize("bounds, fps", [
+    (FlowRateBounds(1e21, 1e22), 30.0),
+    (FlowRateBounds(2.0 ** 66, 2.0 ** 66), 1.0),
+    (FlowRateBounds(0.0, math.inf), 30.0),
+], ids=["1e22-at-30fps", "2^66-at-1fps", "inf"])
+def test_bounds_whose_largest_frame_leaves_int64_refused_before_any_draw(bounds, fps):
+    # 1e22 and 2^66 wrapped in numpy's cast, with a RuntimeWarning, into
+    # negative sizes that VideoTrace refused; inf overflowed in math.floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ByteOverflow, match="largest frame size .* exceeds int64"):
+            synth_bounded_trace(10, bounds, fps=fps, seed=0)
+
+
+@pytest.mark.parametrize("min_rate, max_rate, shown", [
+    (True, True, "True"),
+    ("1", "2", "'1'"),
+    (None, 1.0, "None"),
+    (0.0, 1j, "1j"),
+], ids=["bool", "string", "none", "complex"])
+def test_rate_bounds_that_are_not_reals_refused(min_rate, max_rate, shown):
+    # two bools built a range from which 1-byte frames were drawn; the
+    # others raised TypeError from <=
+    with pytest.raises(ValueError, match=f"^rate bounds must be reals, got {re.escape(shown)}$"):
+        FlowRateBounds(min_rate, max_rate)
+
+
+def test_rate_bounds_keep_an_infinite_maximum_and_their_order_message():
+    assert FlowRateBounds(0, math.inf).width == math.inf
+    for min_rate, max_rate in ((math.nan, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="^need 0 <= min_rate <= max_rate"):
+            FlowRateBounds(min_rate, max_rate)
 
 
 def test_invalid_bounds_rejected():

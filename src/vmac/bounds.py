@@ -61,38 +61,35 @@ class BoundResult(NamedTuple):
 def hoeffding_delta(query: HoeffdingQuery) -> BoundResult:
     """Evaluate the exceedance bound for a query.
 
-    The exponent is the formula as written, unless epsilon's square or a
-    nonzero width's square is below the smallest normal double (rounded
-    coarsely, or to 0) or above the largest, every square is 0, or the
-    exponent comes out infinite or NaN; then it is `_scaled_exponent`.
+    The exponent is the formula as written where it is finite and the squares
+    of epsilon and of each nonzero width are normal doubles; elsewhere it is
+    the scaled form of `_exponent`.
 
     Raises DegenerateRanges when every range has zero width (the exponent's
     denominator vanishes).
     """
-    try:
-        eps2 = query.epsilon ** 2
-        squares = [r.width ** 2 for r in query.ranges]
-        exponent = -2.0 * query.n ** 2 * eps2 / sum(squares)
-    except (OverflowError, ZeroDivisionError):
-        # a square left the double range, or every square is 0
-        exponent = _scaled_exponent(query)
-    else:
-        if not (math.isfinite(exponent) and eps2 >= _MIN_NORMAL and all(
-                sq >= _MIN_NORMAL for r, sq in zip(query.ranges, squares) if r.width)):
-            exponent = _scaled_exponent(query)
+    exponent = _exponent(query.n, query.epsilon, [r.width for r in query.ranges])
     if exponent < _MIN_EXPONENT:
         return BoundResult(delta=math.ulp(0.0), exponent=exponent, underflow=True)
     return BoundResult(delta=math.exp(exponent), exponent=exponent)
 
 
-def _scaled_exponent(query: HoeffdingQuery) -> float:
-    """The exponent of a query whose unscaled formula would not be exact to
-    rounding: epsilon and the widths are scaled by the power of two that
-    brings the widest range into [0.5, 1), which leaves their ratio as it
-    is.  The scaling is only a fallback because a scaled ``x ** 2`` can
-    round differently from the scaled square of `x`.  An infinite width
-    gives -0.0, and an exponent beyond the double range gives -inf."""
-    widest = max(r.width for r in query.ranges)
+def _exponent(n: int, epsilon: float, widths: list[float]) -> float:
+    """-2 n^2 epsilon^2 / sum(widths^2), as written where that is finite and
+    the squares of epsilon and of each nonzero width are normal doubles.
+    Elsewhere epsilon and the widths are first scaled by the power of two
+    that brings the widest into [0.5, 1), which keeps their ratio; only
+    there, as a scaled ``x ** 2`` can round apart from the scaled square of
+    `x`.  An infinite width gives -0.0, an exponent past the doubles -inf."""
+    try:
+        # a zero width's square is +0.0, which leaves the sum as it is
+        squares = [x ** 2 for x in (epsilon, *widths) if x]
+        exponent = -2.0 * n ** 2 * squares[0] / sum(squares[1:])
+        if math.isfinite(exponent) and min(squares) >= _MIN_NORMAL:
+            return exponent
+    except (OverflowError, ZeroDivisionError):
+        pass  # a square left the double range, or every width is 0
+    widest = max(widths)
     if widest == 0.0:
         raise DegenerateRanges(
             "all flow rate ranges have zero width; the bound is undefined"
@@ -100,11 +97,11 @@ def _scaled_exponent(query: HoeffdingQuery) -> float:
     if widest == math.inf:
         return -0.0
     shift = -math.frexp(widest)[1]
-    denom = sum(math.ldexp(r.width, shift) ** 2 for r in query.ranges)
+    denom = sum(math.ldexp(w, shift) ** 2 for w in widths)
     try:
         # divided first: denom < n, so -2 n^2 times the scaled square could
         # overflow where the exponent does not
-        return -2.0 * query.n ** 2 * (math.ldexp(query.epsilon, shift) ** 2 / denom)
+        return -2.0 * n ** 2 * (math.ldexp(epsilon, shift) ** 2 / denom)
     except OverflowError:
         return -math.inf
 

@@ -43,11 +43,14 @@ class HoeffdingQuery:
     def __post_init__(self):
         object.__setattr__(self, "n", _int_field(self.n, "flow count", least=1))
         _positive_real(self.epsilon, "epsilon")
-        if len(self.ranges) != self.n:
-            raise ValueError(
-                f"expected {self.n} ranges, got {len(self.ranges)}"
-            )
-        for r in self.ranges:
+        try:
+            ranges = tuple(self.ranges)
+        except TypeError:
+            raise ValueError(f"ranges must be an iterable, got {self.ranges!r}") from None
+        object.__setattr__(self, "ranges", ranges)
+        if len(ranges) != self.n:
+            raise ValueError(f"expected {self.n} ranges, got {len(ranges)}")
+        for r in ranges:
             if not isinstance(r, FlowRateBounds):
                 raise ValueError(f"a range must be FlowRateBounds, got {r!r}")
 

@@ -333,6 +333,8 @@ class FlowInstance:
     flow_id: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.trace, VideoTrace):
+            raise ValueError(f"trace must be a VideoTrace, got {self.trace!r}")
         _int_fields(self, "start_offset", "flow_id")
         if not 0 <= self.start_offset < len(self.trace):
             raise ValueError(
@@ -465,9 +467,12 @@ def synth_bounded_trace(
 
     Rates are converted to integer frame sizes by rounding down, so realized
     rates sit on the 8*fps grid at or just below the drawn value.
-    Deterministic per seed; a frame past int64 raises ByteOverflow before any draw.
+    Deterministic per seed; `bounds` that are not FlowRateBounds raise
+    ValueError, and a frame past int64 ByteOverflow, before any draw.
     """
     length, rng, factor = _synth_stream(length, seed, fps)
+    if not isinstance(bounds, FlowRateBounds):
+        raise ValueError(f"bounds must be FlowRateBounds, got {bounds!r}")
     if not bounds.max_rate / factor < 2.0 ** 63:
         raise ByteOverflow(f"largest frame size of {bounds} at fps={fps} exceeds int64")
     if math.floor(bounds.max_rate / factor) < 1 and bounds.min_rate > 0:

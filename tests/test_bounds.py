@@ -102,6 +102,28 @@ def test_query_refuses_a_range_that_is_not_rate_bounds(ranges, shown):
         HoeffdingQuery(n=2, epsilon=1.0, ranges=ranges)
 
 
+@pytest.mark.parametrize("ranges", [None, 1, FlowRateBounds(0.0, 1.0)],
+                         ids=["none", "int", "one-range"])
+def test_query_refuses_ranges_that_are_not_iterable(ranges):
+    # len() raised TypeError
+    with pytest.raises(ValueError, match=f"^ranges must be an iterable, got {re.escape(repr(ranges))}$"):
+        HoeffdingQuery(n=1, epsilon=1.0, ranges=ranges)
+
+
+@pytest.mark.parametrize("make", [list, lambda rs: (r for r in rs)], ids=["list", "generator"])
+def test_query_stores_its_ranges_as_a_tuple(make):
+    # a list built a frozen query whose hash() raised TypeError, and a
+    # generator had no len()
+    ranges = (FlowRateBounds(0.0, 1.0), FlowRateBounds(0.0, 2.0))
+    query = HoeffdingQuery(n=2, epsilon=1.0, ranges=make(ranges))
+    assert type(query.ranges) is tuple
+    assert query == HoeffdingQuery(n=2, epsilon=1.0, ranges=ranges)
+    assert hash(query) == hash(HoeffdingQuery(n=2, epsilon=1.0, ranges=ranges))
+    # the count is checked before each range
+    with pytest.raises(ValueError, match="^expected 3 ranges, got 2$"):
+        HoeffdingQuery(n=3, epsilon=1.0, ranges=make((1, 2)))
+
+
 @pytest.mark.parametrize("n, message", [
     (True, "flow count must be an integer, got bool True"),
     (2.0, "flow count must be an integer, got float 2.0"),

@@ -12,6 +12,7 @@ import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,6 +405,23 @@ def test_bounds_whose_largest_frame_leaves_int64_refused_before_any_draw(bounds,
             synth_bounded_trace(10, bounds, fps=fps, seed=0)
 
 
+@pytest.mark.parametrize("bounds", [
+    (0, 1e6), None,
+    SimpleNamespace(min_rate=2e6, max_rate=1e6), SimpleNamespace(min_rate=0.0, max_rate=1e30),
+], ids=["pair", "none", "unordered-look-alike", "int64-look-alike"])
+def test_bounded_trace_refuses_bounds_that_are_not_rate_bounds(bounds):
+    # a pair raised AttributeError on .max_rate, and a look-alike drew a
+    # trace from an unordered range or raised ByteOverflow
+    with pytest.raises(ValueError, match=f"^bounds must be FlowRateBounds, got {re.escape(repr(bounds))}$"):
+        synth_bounded_trace(3, bounds, 30.0, 0)
+    # the length, seed and fps are checked first
+    for length, seed, fps, message in ((0, 0, 30.0, "length must be positive"),
+                                       (3, -1, 30.0, "seed must be >= 0"),
+                                       (3, 0, 0.0, "fps must be a positive real")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            synth_bounded_trace(length, bounds, fps, seed)
+
+
 @pytest.mark.parametrize("min_rate, max_rate, shown", [
     (True, True, "True"),
     ("1", "2", "'1'"),
@@ -532,6 +550,16 @@ def test_flow_fields_store_python_ints():
     assert (type(flow.start_offset), type(flow.flow_id)) == (int, int)
     assert (flow.start_offset, flow.flow_id) == (2, 7)
     assert flow == FlowInstance(trace=flow.trace, start_offset=2, flow_id=7)
+
+
+@pytest.mark.parametrize("trace, offset", [
+    ("abc", 0), (None, 0), (np.array([1, 2, 3]), 0), ([1, 2, 3], 1.5),
+], ids=["string", "none", "array", "list-before-its-offset"])
+def test_flow_trace_must_be_a_video_trace(trace, offset):
+    # a string or an array built a flow that failed later in rate_sample, and
+    # None raised TypeError from len()
+    with pytest.raises(ValueError, match=f"^trace must be a VideoTrace, got {re.escape(repr(trace))}$"):
+        FlowInstance(trace=trace, start_offset=offset)
 
 
 # -- columnar traces ---------------------------------------------------------------

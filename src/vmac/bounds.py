@@ -81,9 +81,9 @@ def _exponent(n: int, epsilon: float, widths: list[float]) -> float:
     """-2 n^2 epsilon^2 / sum(widths^2), as written where that is finite and
     the squares of epsilon and of each nonzero width are normal doubles.
     Elsewhere epsilon and the widths are first scaled by the power of two
-    that brings the widest into [0.5, 1), which keeps their ratio; only
-    there, as a scaled ``x ** 2`` can round apart from the scaled square of
-    `x`.  An infinite width gives -0.0, an exponent past the doubles -inf."""
+    that brings the widest into [0.5, 1), keeping their ratio; only there,
+    since a scaled ``x ** 2`` can round apart from the scaled square of `x`.
+    An infinite width gives -0.0, and an exponent past the doubles -inf."""
     try:
         # a zero width's square is +0.0, which leaves the sum as it is
         squares = [x ** 2 for x in (epsilon, *widths) if x]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .rate_engine import RateSample, new_record
-from .trace_model import MBPS, _positive_real
+from .trace_model import MBPS, _instance, _positive_real
 
 
 class QualityClass(enum.Enum):
@@ -33,10 +33,8 @@ _CLASS_RATES = {
 def quality_class_rate(quality: QualityClass) -> float:
     """Requested rate in bits/s for a video quality class.  Raises ValueError
     for a value that is not a `QualityClass` member, such as its name."""
-    if not isinstance(quality, QualityClass):
-        raise ValueError(f"quality class must be a QualityClass, got "
-                         f"{type(quality).__name__} {quality!r}")
-    return _CLASS_RATES[quality]
+    return _CLASS_RATES[_instance(quality, QualityClass,
+                                  "quality class must be a QualityClass")]
 
 
 class Verdict(enum.Enum):

@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateRanges
 from .rate_engine import MeasurementWindow, _check_history, aggregate_rate_series
-from .trace_model import FlowInstance, FlowRateBounds, _int_field, _positive_real, _rng
+from .trace_model import (FlowInstance, FlowRateBounds, _instance, _int_field, _is_real,
+                          _positive_real, _rng)
 
 # exp() underflows to 0 below this exponent; we clamp instead so delta
 # stays strictly positive
@@ -51,8 +51,7 @@ class HoeffdingQuery:
         if len(ranges) != self.n:
             raise ValueError(f"expected {self.n} ranges, got {len(ranges)}")
         for r in ranges:
-            if not isinstance(r, FlowRateBounds):
-                raise ValueError(f"a range must be FlowRateBounds, got {r!r}")
+            _instance(r, FlowRateBounds, "a range must be FlowRateBounds")
 
 
 class BoundResult(NamedTuple):
@@ -129,7 +128,7 @@ def empirical_exceedance(
     """
     samples = _int_field(samples, "samples", least=1)
     rng = _rng(seed)
-    if not isinstance(epsilon, Real) or type(epsilon) is bool:
+    if not _is_real(epsilon):
         raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
     if math.isnan(epsilon):
         # every comparison with NaN is false, which would read as 0.0

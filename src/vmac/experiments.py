@@ -44,8 +44,8 @@ from .trace_model import (
     ContentClass,
     FlowInstance,
     VideoTrace,
-    _content_class,
     _gaps,
+    _instance,
     _int_field,
     _int_fields,
     _rng,
@@ -328,7 +328,8 @@ def run_content_comparison(
     `ContentClass` member, such as its name, raises ValueError."""
     flow_counts = check_settings(flow_counts=flow_counts)
     cfgs = []
-    for content_class in map(_content_class, classes):
+    for content_class in classes:
+        _instance(content_class, ContentClass, "content class must be a ContentClass")
         sub = tuple(t for t in cfg.trace_library if t.content_class is content_class)
         if not sub:
             raise ClassMissing(content_class)

@@ -34,12 +34,12 @@ vmac nor a default interval loads scipy.
 from __future__ import annotations
 
 import math
-from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import SeriesOverflow, TooShort, ZeroMean
+from .trace_model import _is_real
 
 
 # float(stdtrit(df, (1.0 + 0.95) / 2.0)) for df 1..60, each the repr of the
@@ -175,8 +175,7 @@ def _check_two_values(count: int) -> None:
 def _check_confidence(confidence: float) -> None:
     """Refuse a confidence that is not a real in (0, 1), or so close to 1 that
     (1 + c) / 2 rounds to 1, whose t quantile is infinite.  Raises ValueError."""
-    if not (isinstance(confidence, Real) and 0.0 < confidence
-            and (1.0 + confidence) / 2.0 < 1.0):
+    if not (_is_real(confidence) and 0.0 < confidence and (1.0 + confidence) / 2.0 < 1.0):
         raise ValueError(f"confidence must be in (0, 1), with (1 + c) / 2 "
                          f"below 1, got {confidence!r}")
 

@@ -21,11 +21,9 @@ non-blank character is ``#`` is a comment; the optional ``# fps=`` and
 without spaces around the ``=``.
 
 A parsed trace is held as columns: `VideoTrace.sizes`, `.frame_types` and
-`.indices`.  Every vmac setting is checked by one of two rules, each written
-once here: `_int_field` (an integer, at least a given value) and
-`_positive_real` (a rate or frame rate).  Every random stream is `_rng(seed)`,
-PCG64 of a seed checked as an integer >= 0, and a content class must be a
-`ContentClass` member (`_content_class`).
+`.indices`.  Each input rule is written once here: `_int_field`,
+`_positive_real`, `_is_real` (a real, not a bool) and `_instance` (a trace,
+range or class member), and `_rng(seed)`, the PCG64 stream of every seed.
 
 The gap D = window bytes - w * last-slot bytes, per start slot of a trace,
 is formed once, by `_gaps`, from the trace's doubled prefix sum `_cum2`,
@@ -107,21 +105,26 @@ def _int_field(value, name: str, least=None) -> int:
     return value
 
 
+def _is_real(value) -> bool:
+    """Whether `value` is a real number and not a bool."""
+    return isinstance(value, Real) and type(value) is not bool
+
+
+def _instance(value, cls, what: str):
+    """`value` if it is a `cls`, else ValueError "`what`, got" and its repr,
+    after its type's name for an enum, whose values look like its members."""
+    if isinstance(value, cls):
+        return value
+    kind = f"{type(value).__name__} " if issubclass(cls, enum.Enum) else ""
+    raise ValueError(f"{what}, got {kind}{value!r}")
+
+
 def _positive_real(value, name: str):
     """`value` if it is a real number above 0 and below inf.  Raises ValueError
     naming the field for a bool, a non-number, zero, a negative, inf or NaN."""
-    if isinstance(value, Real) and type(value) is not bool and 0 < value < math.inf:
+    if _is_real(value) and 0 < value < math.inf:
         return value
     raise ValueError(f"{name} must be a positive real, got {value!r}")
-
-
-def _content_class(value) -> ContentClass:
-    """`value` if it is a `ContentClass` member; raises ValueError otherwise,
-    for a class name too."""
-    if isinstance(value, ContentClass):
-        return value
-    raise ValueError(f"content class must be a ContentClass, got "
-                     f"{type(value).__name__} {value!r}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -189,7 +192,8 @@ class VideoTrace:
         if n == 0:
             raise EmptyTrace(self.id)
         _positive_real(self.fps, "fps")
-        _content_class(self.content_class)
+        _instance(self.content_class, ContentClass,
+                  "content class must be a ContentClass")
         frame_types = "?" * n if self.frame_types is None else "".join(self.frame_types)
         if len(frame_types) != n or not set(frame_types).issubset(_TYPE_CHARS):
             raise ValueError(
@@ -333,8 +337,7 @@ class FlowInstance:
     flow_id: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.trace, VideoTrace):
-            raise ValueError(f"trace must be a VideoTrace, got {self.trace!r}")
+        _instance(self.trace, VideoTrace, "trace must be a VideoTrace")
         _int_fields(self, "start_offset", "flow_id")
         if not 0 <= self.start_offset < len(self.trace):
             raise ValueError(
@@ -350,7 +353,7 @@ class FlowRateBounds:
 
     def __post_init__(self):
         for v in (self.min_rate, self.max_rate):
-            if not isinstance(v, Real) or type(v) is bool:
+            if not _is_real(v):
                 raise ValueError(f"rate bounds must be reals, got {v!r}")
         if not 0 <= self.min_rate <= self.max_rate:
             raise ValueError(
@@ -471,8 +474,7 @@ def synth_bounded_trace(
     ValueError, and a frame past int64 ByteOverflow, before any draw.
     """
     length, rng, factor = _synth_stream(length, seed, fps)
-    if not isinstance(bounds, FlowRateBounds):
-        raise ValueError(f"bounds must be FlowRateBounds, got {bounds!r}")
+    _instance(bounds, FlowRateBounds, "bounds must be FlowRateBounds")
     if not bounds.max_rate / factor < 2.0 ** 63:
         raise ByteOverflow(f"largest frame size of {bounds} at fps={fps} exceeds int64")
     if math.floor(bounds.max_rate / factor) < 1 and bounds.min_rate > 0:

@@ -84,6 +84,14 @@ class ExperimentConfig:
         # Python ints, so that equal-looking seeds hash to one stream
         _int_fields(self, "window_slots", "runs_per_rep", "reps", "master_seed",
                     "workers")
+        try:
+            library = iter(self.trace_library)
+        except TypeError:
+            raise ValueError(f"trace library must be an iterable of traces, got "
+                             f"{self.trace_library!r}") from None
+        object.__setattr__(self, "trace_library", tuple(
+            _instance(t, VideoTrace, "a library trace must be a VideoTrace")
+            for t in library))
         if not self.trace_library:
             raise EmptyLibrary("experiment needs at least one trace")
         _shared_fps(self.trace_library)

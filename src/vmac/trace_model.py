@@ -355,10 +355,19 @@ class FlowRateBounds:
         for v in (self.min_rate, self.max_rate):
             if not _is_real(v):
                 raise ValueError(f"rate bounds must be reals, got {v!r}")
+        shown = f"[{self.min_rate}, {self.max_rate}]"
         if not 0 <= self.min_rate <= self.max_rate:
-            raise ValueError(
-                f"need 0 <= min_rate <= max_rate, got [{self.min_rate}, {self.max_rate}]"
-            )
+            raise ValueError(f"need 0 <= min_rate <= max_rate, got {shown}")
+        # the bounds are kept as given; of ordered reals only [inf, inf] has
+        # a NaN width, and only a bound past the doubles, such as 10**400,
+        # fails float()
+        try:
+            width = float(self.max_rate) - float(self.min_rate)
+        except OverflowError:
+            width = math.nan
+        if math.isnan(width):
+            raise ValueError(f"rate bounds must be doubles of a defined width, "
+                             f"got {shown}")
 
     @property
     def width(self) -> float:

@@ -86,6 +86,34 @@ def test_empty_library_rejected():
         ExperimentConfig(trace_library=())
 
 
+@pytest.mark.parametrize("make", [list, lambda lib: (t for t in lib)],
+                         ids=["list", "generator"])
+def test_library_is_bound_to_a_tuple_of_traces(cbr_library, make):
+    # a list built a config whose hash() raised TypeError, and a generator
+    # raised TypeError from the fps check
+    cfg = ExperimentConfig(trace_library=make(cbr_library))
+    assert cfg.trace_library == tuple(cbr_library)
+    assert cfg == ExperimentConfig(trace_library=tuple(cbr_library))
+    assert hash(cfg) == hash(ExperimentConfig(trace_library=tuple(cbr_library)))
+
+
+@pytest.mark.parametrize("library, message", [
+    (5, "trace library must be an iterable of traces, got 5"),
+    (None, "trace library must be an iterable of traces, got None"),
+    (["abc"], "a library trace must be a VideoTrace, got 'abc'"),
+], ids=["int", "none", "string-entry"])
+def test_library_that_is_not_an_iterable_of_traces_refused(library, message):
+    # "abc" raised AttributeError on .fps, and None raised EmptyLibrary
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(trace_library=library)
+
+
+@pytest.mark.parametrize("library", [[], iter(())], ids=["list", "iterator"])
+def test_empty_library_of_any_iterable_rejected(library):
+    with pytest.raises(EmptyLibrary):
+        ExperimentConfig(trace_library=library)
+
+
 def test_mixed_fps_rejected():
     lib = (make_trace([10] * 20, fps=30.0), make_trace([10] * 20, fps=25.0))
     with pytest.raises(MixedFps):

@@ -82,6 +82,8 @@ INSTANCE_CALLERS = {
     "synth_bounded_trace.bounds": (lambda v: synth_bounded_trace(3, v, 30.0, 0),
                                    "bounds must be FlowRateBounds"),
     "FlowInstance.trace": (lambda v: FlowInstance(v, 0), "trace must be a VideoTrace"),
+    "ExperimentConfig.trace_library": (lambda v: ExperimentConfig(trace_library=(v,)),
+                                       "a library trace must be a VideoTrace"),
 }
 ENUM_CALLERS = {"quality_class_rate", "AdmissionRequest.for_class",
                 "VideoTrace.content_class", "run_content_comparison.classes"}

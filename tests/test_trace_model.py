@@ -435,6 +435,24 @@ def test_rate_bounds_that_are_not_reals_refused(min_rate, max_rate, shown):
         FlowRateBounds(min_rate, max_rate)
 
 
+@pytest.mark.parametrize("min_rate, max_rate", [
+    (math.inf, math.inf), (0, 10 ** 400), (10 ** 400, 10 ** 400),
+], ids=["inf-inf", "int-past-doubles", "both-past-doubles"])
+def test_rate_bounds_without_a_double_width_refused(min_rate, max_rate):
+    # [inf, inf] built a range of NaN width, for which hoeffding_delta
+    # returned a NaN delta, and 10**400 one for which it raised OverflowError
+    message = f"rate bounds must be doubles of a defined width, got [{min_rate}, {max_rate}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FlowRateBounds(min_rate, max_rate)
+
+
+def test_rate_bounds_keep_their_given_values():
+    bounds = FlowRateBounds(0, 10 ** 300)
+    assert (type(bounds.min_rate), bounds.max_rate) == (int, 10 ** 300)
+    assert repr(FlowRateBounds(1, 2.5)) == "FlowRateBounds(min_rate=1, max_rate=2.5)"
+    assert FlowRateBounds(5.0, math.inf).width == math.inf
+
+
 def test_rate_bounds_keep_an_infinite_maximum_and_their_order_message():
     assert FlowRateBounds(0, math.inf).width == math.inf
     for min_rate, max_rate in ((math.nan, 1.0), (2.0, 1.0)):

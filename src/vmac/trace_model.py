@@ -23,7 +23,7 @@ without spaces around the ``=``.
 A parsed trace is held as columns: `VideoTrace.sizes`, `.frame_types` and
 `.indices`.  Each input rule is written once here: `_int_field`,
 `_positive_real`, `_is_real` (a real, not a bool) and `_instance` (a trace,
-range or class member), and `_rng(seed)`, the PCG64 stream of every seed.
+range or class member); every random stream is `_rng(seed)` of a checked seed.
 
 The gap D = window bytes - w * last-slot bytes, per start slot of a trace,
 is formed once, by `_gaps`, from the trace's doubled prefix sum `_cum2`,
